@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construct import CyclicParams, gyration_selector, oplus
-from .core import FiniteGyrogroup, GyrogroupDataError, Permutation
+from .core import FiniteGyrogroup, GyrogroupDataError, Permutation, check_left_gyroassociativity
 from .groups import (
     GroupInvariants,
     cyclic_group,
@@ -203,11 +203,15 @@ def _lower_half_subgroup(p: CyclicParams, step: int) -> frozenset[int]:
 
 def _formula_is_group(p: CyclicParams, members: frozenset[int]) -> bool:
     # the half-shift moves exactly the odd elements, so a subset is fixed
-    # pointwise iff it has no odd member or no nontrivially-gyrating pair
-    has_odd = any(x % 2 for x in members)
-    if not has_odd:
-        return True
-    return not any(gyration_selector(p, a, b) for a in members for b in members)
+    # pointwise iff it has no odd member or no nontrivially-gyrating pair;
+    # every such pair has an odd member, so the second condition covers both
+    S = np.fromiter(members, dtype=np.int64)
+    return not gyration_selector(p, S[:, None], S[None, :]).any()
+
+
+def _translate(p: CyclicParams, g: int, members: frozenset[int]) -> frozenset[int]:
+    """The left translate g ⊕ members."""
+    return frozenset(oplus(p, g, np.fromiter(members, dtype=np.int64)).tolist())
 
 
 def classify_subgyrogroups(n: int) -> list[Subgyrogroup]:
@@ -241,13 +245,13 @@ def classify_subgyrogroups(n: int) -> list[Subgyrogroup]:
     for s in range(n):  # lower-half subgroup joined with its shifted coset
         g = (1 << s) % m
         low = _lower_half_subgroup(p, g)
-        members = low | {oplus(p, m, x) for x in low}
+        members = low | _translate(p, m, low)
         gens = (g, m) if g else (m,)
         add(members, gens, f"<2^{s}, m>")
     for s in range(n - 1):  # single generator from the upper half
         g = m + (1 << s)
         low = _lower_half_subgroup(p, (1 << (s + 1)) % m)
-        members = low | {oplus(p, g, x) for x in low}
+        members = low | _translate(p, g, low)
         add(members, (g,), f"<m + 2^{s}>")
     return out
 
@@ -449,13 +453,7 @@ def is_degenerate_group(G: FiniteGyrogroup) -> bool:
     raises when they disagree, since that marks corrupted tables.
     """
     all_identity = all(G.perms[int(k)].is_identity for k in np.unique(G.gyr_table))
-    C = G.cayley
-    cols = np.arange(G.order)[None, :]
-    associative = True
-    for a in range(G.order):
-        if not (C[a][C] == C[C[a][:, None], cols]).all():
-            associative = False
-            break
+    associative = check_left_gyroassociativity(FiniteGyrogroup.from_group(G.cayley)).passed
     if all_identity != associative:
         raise GyrogroupDataError(
             "identity-gyration and associativity signals disagree; tables are corrupt"

@@ -117,7 +117,12 @@ def _cmd_iso(args: argparse.Namespace) -> int:
             fails = ", ".join(c.name for c in report.failures())
             print(f"{side} input is not a gyrogroup (failed: {fails})", file=sys.stderr)
             return 1
-    phi = isomorphic(left, right)
+    try:
+        phi = isomorphic(left, right)
+    except ValueError as exc:
+        # the search cap: both inputs are valid, so this is no argument error
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if phi is None:
         print("not isomorphic")
         return 1

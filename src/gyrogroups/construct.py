@@ -79,9 +79,11 @@ class ParityClass(Enum):
         return self in (ParityClass.EVEN_HIGH, ParityClass.ODD_HIGH)
 
 
-def _check_element(p: CyclicParams, i: int) -> None:
-    if not 0 <= i < p.order:
-        raise ValueError(f"element {i} out of range 0..{p.order - 1}")
+def _check_element(p: CyclicParams, i) -> None:
+    """Raise ValueError unless i, an int or an integer array, lies in 0..2**n - 1."""
+    low, high = (i.min(), i.max()) if isinstance(i, np.ndarray) else (i, i)
+    if low < 0 or high >= p.order:
+        raise ValueError(f"element {low if low < 0 else high} out of range 0..{p.order - 1}")
 
 
 def classify(p: CyclicParams, i: int) -> ParityClass:
@@ -111,7 +113,7 @@ def residues(p: CyclicParams, i: int, j: int) -> Residues:
     )
 
 
-def oplus(p: CyclicParams, i: int, j: int) -> int:
+def oplus(p: CyclicParams, i, j):
     """The four-case binary operation on {0..2**n - 1}.
 
     Residues are reduced into {0..m-1} first and m is added afterwards, so
@@ -121,58 +123,54 @@ def oplus(p: CyclicParams, i: int, j: int) -> int:
     * even-high i with odd-low j   ->  s + m        (upper half)
     * i, j in the same half        ->  t            (lower half)
     * i, j in different halves     ->  t + m        (upper half)
+
+    i and j are ints or broadcastable integer arrays; ints give an int.
     """
-    res = residues(p, i, j)
-    ci = classify(p, i)
-    cj = classify(p, j)
-    if ci is ParityClass.EVEN_HIGH and cj is ParityClass.ODD_HIGH:
-        return res.s
-    if ci is ParityClass.EVEN_HIGH and cj is ParityClass.ODD_LOW:
-        return res.s + p.m
-    if ci.is_high == cj.is_high:
-        return res.t
-    return res.t + p.m
-
-
-def half_shift(p: CyclicParams, i: int) -> int:
-    """The nontrivial gyration: add m/2 (mod m) to odd elements, fix even ones."""
     _check_element(p, i)
-    cls = classify(p, i)
-    r = (i + p.half) % p.m
-    if cls is ParityClass.ODD_LOW:
-        return r
-    if cls is ParityClass.ODD_HIGH:
-        return r + p.m
-    return i
+    _check_element(p, j)
+    i_high, j_high = i >= p.m, j >= p.m
+    shifted = i_high & (i % 2 == 0) & (j % 2 == 1)
+    return (i + j + p.half * shifted) % p.m + p.m * (i_high != j_high)
+
+
+def half_shift(p: CyclicParams, i):
+    """The nontrivial gyration: add m/2 (mod m) to odd elements, fix even ones.
+
+    i is an int or an integer array; an int gives an int.
+    """
+    _check_element(p, i)
+    return (i + p.half * (i % 2 == 1)) % p.m + p.m * (i >= p.m)
 
 
 def half_shift_permutation(p: CyclicParams) -> Permutation:
-    return Permutation(tuple(half_shift(p, i) for i in range(p.order)))
+    return Permutation(tuple(half_shift(p, np.arange(p.order)).tolist()))
 
 
-def gyration_selector(p: CyclicParams, a: int, b: int) -> bool:
+def gyration_selector(p: CyclicParams, a, b):
     """True when the pair (a, b) gyrates by the half-shift map, False for identity.
 
     The nontrivial pairs are exactly: odd-low with anything high, odd-high
-    with odd-low or even-high, and even-high with anything odd.
+    with odd-low or even-high, and even-high with anything odd.  a and b are
+    ints or broadcastable integer arrays; ints give a bool.
     """
-    ca = classify(p, a)
-    cb = classify(p, b)
-    if ca is ParityClass.ODD_LOW:
-        return cb.is_high
-    if ca is ParityClass.ODD_HIGH:
-        return cb is ParityClass.ODD_LOW or cb is ParityClass.EVEN_HIGH
-    if ca is ParityClass.EVEN_HIGH:
-        return cb.is_odd
-    return False
+    _check_element(p, a)
+    _check_element(p, b)
+    a_low, a_high, b_high = a < p.m, a >= p.m, b >= p.m
+    a_odd, a_even, b_odd = a % 2 == 1, a % 2 == 0, b % 2 == 1
+    return (
+        (a_odd & a_low & b_high)
+        | (a_odd & a_high & (b_odd != b_high))
+        | (a_even & a_high & b_odd)
+    )
 
 
-def inverse_element(p: CyclicParams, x: int) -> int:
-    """Closed-form inverse: -x mod m in the lower half, shifted likewise above."""
+def inverse_element(p: CyclicParams, x):
+    """Closed-form inverse: -x mod m in the lower half, shifted likewise above.
+
+    x is an int or an integer array; an int gives an int.
+    """
     _check_element(p, x)
-    if x < p.m:
-        return (-x) % p.m
-    return (-(x - p.m)) % p.m + p.m
+    return (-x) % p.m + p.m * (x >= p.m)
 
 
 def build_cyclic_gyrogroup(n: int, *, max_n: int = DEFAULT_MAX_N) -> FiniteGyrogroup:
@@ -187,24 +185,9 @@ def build_cyclic_gyrogroup(n: int, *, max_n: int = DEFAULT_MAX_N) -> FiniteGyrog
             f"n={n} exceeds the cap of {max_n} (tables grow as 4**n); raise max_n to override"
         )
     p = CyclicParams(n)
-    m = p.m
     i = np.arange(p.order, dtype=np.int64)[:, None]
     j = np.arange(p.order, dtype=np.int64)[None, :]
-
-    i_high = i >= m
-    j_high = j >= m
-    i_odd = i % 2 == 1
-    j_odd = j % 2 == 1
-    even_high_i = i_high & ~i_odd
-
-    shifted = even_high_i & j_odd
-    base = (i + j + np.where(shifted, p.half, 0)) % m
-    cayley = base + np.where(i_high != j_high, m, 0)
-
-    selector = (
-        (i_odd & ~i_high & j_high)
-        | (i_odd & i_high & ((j_odd & ~j_high) | (~j_odd & j_high)))
-        | (even_high_i & j_odd)
-    )
     perms = (Permutation.identity(p.order), half_shift_permutation(p))
-    return FiniteGyrogroup(cayley, selector.astype(np.uint16), perms)
+    return FiniteGyrogroup(
+        oplus(p, i, j), gyration_selector(p, i, j).astype(np.uint16), perms
+    )

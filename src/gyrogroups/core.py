@@ -13,6 +13,7 @@ sample order and carry a "sampled" note.)
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -364,22 +365,38 @@ def check_gyr_automorphisms(G: FiniteGyrogroup) -> CheckResult:
     return CheckResult("gyrations_are_automorphisms", True)
 
 
-def _gyroassoc_row(G: FiniteGyrogroup, a: int) -> tuple[int, ...] | None:
-    """First (b, c) violating a ⊕ (b ⊕ c) = (a ⊕ b) ⊕ gyr[a,b]c for fixed a."""
+# The two triple laws, written once over the terms a ⊕ b, a ⊕ (b ⊕ c) and
+# gyr[a,b]c; the exhaustive row scan and the sampled scan both call them.
+def _gyroassoc_holds(C, ab, a_bc, gyr_c) -> np.ndarray:
+    """Left gyroassociativity a ⊕ (b ⊕ c) = (a ⊕ b) ⊕ gyr[a,b]c, elementwise."""
+    return a_bc == C[ab, gyr_c]
+
+
+def _gyrator_holds(C, inv, ab, a_bc, gyr_c) -> np.ndarray:
+    """Gyrator identity gyr[a,b]c = ⊖(a ⊕ b) ⊕ (a ⊕ (b ⊕ c)), elementwise."""
+    return gyr_c == C[inv[ab], a_bc]
+
+
+def _first_triple_violation(
+    G: FiniteGyrogroup, law: Callable[..., np.ndarray]
+) -> tuple[int, ...] | None:
+    """Smallest (a, b, c) where law(a ⊕ b, a ⊕ (b ⊕ c), gyr[a,b]c) fails,
+    scanning one row a at a time."""
     C = G.cayley
-    row = C[a]
-    lhs = row[C]
-    rhs = C[row[:, None], G.perm_matrix[G.gyr_table[a]]]
-    return _first_false(lhs == rhs)
+    P = G.perm_matrix
+    Gy = G.gyr_table
+    for a in range(G.order):
+        row = C[a]
+        bad = _first_false(law(row[:, None], row[C], P[Gy[a]]))
+        if bad is not None:
+            return (a, *bad)
+    return None
 
 
 def check_left_gyroassociativity(G: FiniteGyrogroup) -> CheckResult:
     """a ⊕ (b ⊕ c) = (a ⊕ b) ⊕ gyr[a,b]c over all triples; witness (a, b, c)."""
-    for a in range(G.order):
-        bad = _gyroassoc_row(G, a)
-        if bad is not None:
-            return CheckResult("left_gyroassociativity", False, (a, *bad))
-    return CheckResult("left_gyroassociativity", True)
+    bad = _first_triple_violation(G, partial(_gyroassoc_holds, G.cayley))
+    return CheckResult("left_gyroassociativity", bad is None, bad)
 
 
 def check_loop_property(G: FiniteGyrogroup) -> CheckResult:
@@ -390,15 +407,6 @@ def check_loop_property(G: FiniteGyrogroup) -> CheckResult:
     if bad is None:
         return CheckResult("loop_property", True)
     return CheckResult("loop_property", False, bad)
-
-
-def _gyrator_row(G: FiniteGyrogroup, a: int, inv: np.ndarray) -> tuple[int, ...] | None:
-    """First (b, c) where gyr[a,b]c != ⊖(a⊕b) ⊕ (a ⊕ (b⊕c)) for fixed a."""
-    C = G.cayley
-    row = C[a]
-    lhs = G.perm_matrix[G.gyr_table[a]]
-    rhs = C[inv[row][:, None], row[C]]
-    return _first_false(lhs == rhs)
 
 
 def check_gyrator_identity(G: FiniteGyrogroup) -> CheckResult:
@@ -413,11 +421,8 @@ def check_gyrator_identity(G: FiniteGyrogroup) -> CheckResult:
         return CheckResult(
             "gyrator_identity", False, missing, note="no left inverse, formula undefined"
         )
-    for a in range(G.order):
-        bad = _gyrator_row(G, a, inv)
-        if bad is not None:
-            return CheckResult("gyrator_identity", False, (a, *bad))
-    return CheckResult("gyrator_identity", True)
+    bad = _first_triple_violation(G, partial(_gyrator_holds, G.cayley, inv))
+    return CheckResult("gyrator_identity", bad is None, bad)
 
 
 def check_gyrocommutative(G: FiniteGyrogroup) -> CheckResult:
@@ -451,14 +456,14 @@ def _sampled_triples(
         abc = rng.integers(0, G.order, size=(k, 3))
         a, b, c = abc[:, 0], abc[:, 1], abc[:, 2]
         ab = C[a, b]
-        bc = C[b, c]
-        gyrc = P[Gy[a, b], c]
+        a_bc = C[a, C[b, c]]
+        gyr_c = P[Gy[a, b], c]
         if assoc_witness is None:
-            bad = np.nonzero(C[a, bc] != C[ab, gyrc])[0]
+            bad = np.nonzero(~_gyroassoc_holds(C, ab, a_bc, gyr_c))[0]
             if bad.size:
                 assoc_witness = tuple(int(v) for v in abc[bad[0]])
         if gyrator_witness is None and inv_ok:
-            bad = np.nonzero(gyrc != C[inv[ab], C[a, bc]])[0]
+            bad = np.nonzero(~_gyrator_holds(C, inv, ab, a_bc, gyr_c))[0]
             if bad.size:
                 gyrator_witness = tuple(int(v) for v in abc[bad[0]])
 

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analyze import SubgyrogroupLattice
-from .core import CheckResult, FiniteGyrogroup, Permutation, VerificationReport
+from .core import (
+    CheckResult,
+    FiniteGyrogroup,
+    Permutation,
+    VerificationReport,
+    check_left_translations,
+    check_right_translations,
+)
 
 __all__ = [
     "ReportDocument",
@@ -110,23 +117,6 @@ def _parse_int(token: str, line_no: int, col: int, limit: int) -> int:
     return value
 
 
-def _latin_violation(table: np.ndarray) -> tuple[str, int, int, int] | None:
-    n = table.shape[0]
-    for a in range(n):
-        seen: dict[int, int] = {}
-        for j, v in enumerate(table[a].tolist()):
-            if v in seen:
-                return "row", a, seen[v], j
-            seen[v] = j
-    for b in range(n):
-        seen = {}
-        for i, v in enumerate(table[:, b].tolist()):
-            if v in seen:
-                return "column", b, seen[v], i
-            seen[v] = i
-    return None
-
-
 def load_tables(document: str | bytes, *, strict: bool = True) -> FiniteGyrogroup:
     """Parse a CSV table document back into a gyrogroup.
 
@@ -216,12 +206,15 @@ def load_tables(document: str | bytes, *, strict: bool = True) -> FiniteGyrogrou
             gyr[a, b] = legend[sym]
 
     if strict:
-        violation = _latin_violation(cayley)
-        if violation is not None:
-            kind, index, first, second = violation
-            raise TableFormatError(
-                f"cayley {kind} {index} repeats a value at positions {first} and {second}"
-            )
+        block = FiniteGyrogroup.from_group(cayley)
+        checks = {"row": check_left_translations, "column": check_right_translations}
+        for kind, check in checks.items():
+            latin = check(block)
+            if not latin.passed:
+                index, first, second = latin.witness
+                raise TableFormatError(
+                    f"cayley {kind} {index} repeats a value at positions {first} and {second}"
+                )
 
     # normalize the identity to element 0 when some other row acts as one
     identity_row = None

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import FiniteGyrogroup, check_left_gyroassociativity
+
 __all__ = [
     "GroupInvariants",
     "cyclic_group",
@@ -44,15 +46,7 @@ def dihedral_group(sides: int) -> np.ndarray:
     """Dihedral group of order 2*sides; element r**a f**e encoded as a + sides*e."""
     if sides < 1:
         raise ValueError("sides must be positive")
-    n = 2 * sides
-    table = np.empty((n, n), dtype=np.int64)
-    for x in range(n):
-        a, e = x % sides, x // sides
-        for y in range(n):
-            b, f = y % sides, y // sides
-            rot = (a + (b if e == 0 else -b)) % sides
-            table[x, y] = rot + sides * ((e + f) % 2)
-    return table
+    return semidirect_cyclic_z2(sides, sides - 1)
 
 
 def semidirect_cyclic_z2(m: int, k: int) -> np.ndarray:
@@ -61,7 +55,7 @@ def semidirect_cyclic_z2(m: int, k: int) -> np.ndarray:
     Element (a, e) with a in Z_m, e in {0, 1} is encoded as a + m*e.
     Requires k*k = 1 (mod m) so the action has order dividing 2.
     """
-    if (k * k) % m != 1:
+    if (k * k - 1) % m:
         raise ValueError(f"action x -> {k}x is not an involution mod {m}")
     n = 2 * m
     table = np.empty((n, n), dtype=np.int64)
@@ -88,12 +82,9 @@ def first_group_axiom_violation(table: np.ndarray) -> tuple[str, tuple[int, ...]
         has = np.nonzero((T[a] == 0) & (T[:, a] == 0))[0]
         if has.size == 0:
             return "inverse", (a,)
-    for a in range(n):
-        lhs = T[a][T]
-        rhs = T[T[a][:, None], idx[None, :]]
-        bad = np.argwhere(lhs != rhs)
-        if bad.size:
-            return "associativity", (a, int(bad[0][0]), int(bad[0][1]))
+    associativity = check_left_gyroassociativity(FiniteGyrogroup.from_group(T))
+    if not associativity.passed:
+        return "associativity", associativity.witness
     return None
 
 

@@ -138,3 +138,14 @@ def test_verify_exit_matches_report(tmp_path, capsys, g3):
     code, _, _ = run(capsys, "check", str(path), "--report", str(report_path))
     assert code == 1
     assert not ReportDocument.from_json(report_path.read_text()).all_passed
+
+
+def test_iso_above_search_cap_exits_one(tmp_path, capsys):
+    # both order-64 files are valid, so the cap is no argument error
+    left = tmp_path / "left.csv"
+    right = tmp_path / "right.csv"
+    for path in (left, right):
+        assert run(capsys, "build", "--n", "6", "--format", "csv", "--out", str(path))[0] == 0
+    code, out, err = run(capsys, "iso", "--left", str(left), "--right", str(right))
+    assert code == 1 and out == ""
+    assert err == "error: exhaustive search capped at order 32\n"

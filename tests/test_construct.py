@@ -16,6 +16,12 @@ from gyrogroups import (
 )
 
 import reference_tables as ref
+from construct_reference import (
+    ref_gyration_selector,
+    ref_half_shift,
+    ref_inverse_element,
+    ref_oplus,
+)
 
 
 def test_params_reject_small_n():
@@ -94,14 +100,47 @@ def test_tables_match_reference_order_16():
 
 
 def test_grid_matches_scalar_operation():
-    # the vectorized table builder and the four-case scalar definition agree
-    for n in (3, 4, 5):
+    # the four-case rule, on ints, on index arrays and as built tables, agrees
+    # with the case-by-case reference in construct_reference
+    for n in range(3, 9):
         p = CyclicParams(n)
         G = build_cyclic_gyrogroup(n)
-        for i in range(p.order):
-            for j in range(p.order):
-                assert G.oplus(i, j) == oplus(p, i, j)
-                assert bool(G.gyr_index(i, j)) == gyration_selector(p, i, j)
+        idx = np.arange(p.order)
+        pairs = [(i, j) for i in range(p.order) for j in range(p.order)]
+        want_oplus = np.array([ref_oplus(p, i, j) for i, j in pairs]).reshape(G.cayley.shape)
+        want_selector = np.array([ref_gyration_selector(p, i, j) for i, j in pairs]).reshape(
+            G.cayley.shape
+        )
+        want_shift = [ref_half_shift(p, i) for i in range(p.order)]
+        want_inverse = [ref_inverse_element(p, i) for i in range(p.order)]
+
+        assert np.array_equal(G.cayley, want_oplus)
+        assert np.array_equal(G.gyr_table != 0, want_selector)
+        assert np.array_equal(oplus(p, idx[:, None], idx[None, :]), want_oplus)
+        assert np.array_equal(gyration_selector(p, idx[:, None], idx[None, :]), want_selector)
+        assert half_shift(p, idx).tolist() == want_shift
+        assert inverse_element(p, idx).tolist() == want_inverse
+
+        got = [oplus(p, i, j) for i, j in pairs]
+        assert got == want_oplus.ravel().tolist()
+        assert all(type(v) is int for v in got)
+        got = [gyration_selector(p, i, j) for i, j in pairs]
+        assert got == want_selector.ravel().tolist()
+        assert all(type(v) is bool for v in got)
+        assert [half_shift(p, i) for i in range(p.order)] == want_shift
+        assert [inverse_element(p, i) for i in range(p.order)] == want_inverse
+
+
+def test_rule_rejects_out_of_range_arrays():
+    p3 = CyclicParams(3)
+    with pytest.raises(ValueError, match="element 8 out of range"):
+        oplus(p3, np.arange(9), 0)
+    with pytest.raises(ValueError, match="element -1 out of range"):
+        gyration_selector(p3, 1, np.array([0, -1]))
+    with pytest.raises(ValueError, match="out of range"):
+        half_shift(p3, -1)
+    with pytest.raises(ValueError, match="out of range"):
+        inverse_element(p3, np.array([[8]]))
 
 
 def test_half_shift_examples():
