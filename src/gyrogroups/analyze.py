@@ -2,21 +2,29 @@
 
 A subgyrogroup is a subset containing 0 that is closed under the operation,
 under left inverses, and under its internal gyrations.  Enumeration works on
-any verified gyrogroup by fixpoint over generator extensions; the closed-form
-classifier is specific to the cyclic construction and provides the
-independent cross-check.
+any verified gyrogroup in one pass over the lattice, smallest sets first:
+each closed set is joined with every cyclic subgyrogroup outside it, and
+those joins yield the whole lattice, its covers, and the canonical generators
+by dynamic programming.  The closed-form classifier is specific to the cyclic
+construction and provides the independent cross-check.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections import deque
+import heapq
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .construct import CyclicParams, gyration_selector, oplus
-from .core import FiniteGyrogroup, GyrogroupDataError, Permutation, check_left_gyroassociativity
+from .core import (
+    FiniteGyrogroup,
+    GyrogroupDataError,
+    Permutation,
+    _close,
+    check_left_gyroassociativity,
+)
 from .groups import (
     GroupInvariants,
     cyclic_group,
@@ -82,28 +90,6 @@ class SubgyrogroupLattice:
         return self.nodes[-1]
 
 
-def _close(G: FiniteGyrogroup, seed: frozenset[int]) -> frozenset[int]:
-    """Smallest superset of seed ∪ {0} closed under ⊕, ⊖, and internal gyrations."""
-    C = G.cayley
-    Gy = G.gyr_table
-    P = G.perm_matrix
-    inv = G.left_inverse_map()
-    members = set(seed) | {0}
-    while True:
-        S = np.fromiter(members, dtype=np.int64)
-        new = set(C[np.ix_(S, S)].ravel().tolist())
-        inv_s = inv[S]
-        if (inv_s < 0).any():
-            missing = int(S[int(np.argmax(inv_s < 0))])
-            raise GyrogroupDataError(f"element {missing} has no left inverse; cannot close")
-        new.update(inv_s.tolist())
-        for k in np.unique(Gy[np.ix_(S, S)]):
-            new.update(P[k][S].tolist())
-        if new <= members:
-            return frozenset(members)
-        members |= new
-
-
 def _gyrations_fix_pointwise(G: FiniteGyrogroup, members: frozenset[int]) -> bool:
     S = np.fromiter(members, dtype=np.int64)
     for k in np.unique(G.gyr_table[np.ix_(S, S)]):
@@ -112,29 +98,52 @@ def _gyrations_fix_pointwise(G: FiniteGyrogroup, members: frozenset[int]) -> boo
     return True
 
 
-def _canonical_generators(
-    G: FiniteGyrogroup,
-    members: frozenset[int],
-    cache: dict[frozenset[int], frozenset[int]] | None = None,
-) -> tuple[int, ...]:
-    """Smallest generating list under (size, lexicographic) order."""
-    if members == {0}:
-        return (0,)
-    if cache is None:
-        cache = {}
+def _join_pass(G: FiniteGyrogroup, pool: Sequence[int]) -> tuple[dict, dict]:
+    """Every closed set generated inside ``pool``, by one pass of joins.
 
-    def close(seed: tuple[int, ...]) -> frozenset[int]:
-        key = frozenset(seed)
-        if key not in cache:
-            cache[key] = _close(G, key)
-        return cache[key]
+    Closed sets T are taken smallest first, in (size, sorted elements) order,
+    and joined with close({x}) for each x in ``pool`` outside T, once per
+    distinct cyclic subgyrogroup, at its smallest x; that join is
+    close(T ∪ {x}).  Returns each set's canonical generators (empty for the
+    bottom) and, keyed in that order, the sets its joins reach.
 
-    candidates = sorted(members - {0})
-    for size in range(1, len(candidates) + 1):
-        for combo in itertools.combinations(candidates, size):
-            if close(combo) == members:
-                return combo
-    raise AssertionError("a closed set is generated by itself")
+    gen(S) is the (size, lex) minimum of sorted(gen(T) + (x,)) over the joins
+    that reach S.  Dropping an element x from the minimal tuple of S leaves
+    the minimal tuple of its closure T, since inserting x keeps lex order;
+    and x is the smallest of its cyclic class outside T, or a smaller one
+    would give a smaller tuple.
+    """
+    bottom = _close(G, frozenset())
+    cyclic = {x: _close(G, frozenset((x,))) for x in pool}
+    gens: dict[frozenset[int], tuple[int, ...]] = {bottom: ()}
+    reached: dict[frozenset[int], set[frozenset[int]]] = {}
+    heap = [(len(bottom), tuple(sorted(bottom)), bottom)]
+    while heap:
+        T = heapq.heappop(heap)[2]
+        joins: dict[frozenset[int], frozenset[int]] = {}
+        for x in pool:
+            if x in T or cyclic[x] in joins:
+                continue
+            S = joins[cyclic[x]] = _close(G, T | cyclic[x])
+            label = tuple(sorted(gens[T] + (x,)))
+            if S not in gens:
+                heapq.heappush(heap, (len(S), tuple(sorted(S)), S))
+            elif (len(gens[S]), gens[S]) <= (len(label), label):
+                continue
+            gens[S] = label
+        reached[T] = set(joins.values())
+    return gens, reached
+
+
+def _subgyrogroup(
+    G: FiniteGyrogroup, members: frozenset[int], generators: tuple[int, ...]
+) -> Subgyrogroup:
+    # the bottom is labelled by its smallest nonzero member, <0> when it is {0}
+    return Subgyrogroup(
+        elements=tuple(sorted(members)),
+        generators=generators or (min(members - {0}, default=0),),
+        is_group=_gyrations_fix_pointwise(G, members),
+    )
 
 
 def closure(G: FiniteGyrogroup, gens) -> Subgyrogroup:
@@ -144,55 +153,23 @@ def closure(G: FiniteGyrogroup, gens) -> Subgyrogroup:
         if not 0 <= g < G.order:
             raise ValueError(f"generator {g} out of range 0..{G.order - 1}")
     members = _close(G, gens)
-    return Subgyrogroup(
-        elements=tuple(sorted(members)),
-        generators=_canonical_generators(G, members),
-        is_group=_gyrations_fix_pointwise(G, members),
-    )
+    return _subgyrogroup(G, members, _join_pass(G, sorted(members))[0][members])
 
 
 def enumerate_subgyrogroups(G: FiniteGyrogroup) -> SubgyrogroupLattice:
-    """All subgyrogroups by fixpoint over closures of extended generator sets."""
-    cache: dict[frozenset[int], frozenset[int]] = {}
+    """All subgyrogroups, in (size, sorted elements) order, from one pass of joins.
 
-    def close(seed: frozenset[int]) -> frozenset[int]:
-        if seed not in cache:
-            cache[seed] = _close(G, seed)
-        return cache[seed]
-
-    known: set[frozenset[int]] = {close(frozenset())}
-    known.update(close(frozenset((x,))) for x in range(G.order))
-    work = deque(known)
-    while work:
-        S = work.popleft()
-        for x in range(G.order):
-            if x in S:
-                continue
-            T = close(S | {x})
-            if T not in known:
-                known.add(T)
-                work.append(T)
-
-    ordered = sorted(known, key=lambda s: (len(s), tuple(sorted(s))))
-    nodes = tuple(
-        Subgyrogroup(
-            elements=tuple(sorted(members)),
-            generators=_canonical_generators(G, members, cache),
-            is_group=_gyrations_fix_pointwise(G, members),
-        )
-        for members in ordered
+    The upper covers of each T are the minimal sets among its joins
+    close(T ∪ {x}): a cover S of T is close(T ∪ {x}) for every x in S ∖ T.
+    """
+    gens, reached = _join_pass(G, range(G.order))
+    index = {S: i for i, S in enumerate(reached)}
+    covers = sorted(
+        (index[T], index[S]) for T, up in reached.items() for S in up if not any(R < S for R in up)
     )
-
-    covers = []
-    sets = [frozenset(node.elements) for node in nodes]
-    for i, child in enumerate(sets):
-        for j, parent in enumerate(sets):
-            if not child < parent:
-                continue
-            if any(child < mid < parent for mid in sets):
-                continue
-            covers.append((i, j))
-    return SubgyrogroupLattice(nodes=nodes, covers=tuple(sorted(covers)))
+    return SubgyrogroupLattice(
+        nodes=tuple(_subgyrogroup(G, S, gens[S]) for S in reached), covers=tuple(covers)
+    )
 
 
 def _lower_half_subgroup(p: CyclicParams, step: int) -> frozenset[int]:
@@ -348,10 +325,11 @@ def holomorph_structure_matches(
     z2 = cyclic_group(2)
     matches = []
     for k in range(2, m):
-        if (k * k) % m != 1:
+        try:
+            action = semidirect_cyclic_z2(m, k)
+        except ValueError:  # x -> kx is not an involution
             continue
-        candidate = direct_product(z2, semidirect_cyclic_z2(m, k))
-        inv = group_invariants(candidate)
+        inv = group_invariants(direct_product(z2, action))
         name = f"Z2 x (Z{m} : Z2, x -> {k}x) [{_action_nickname(m, k)} action]"
         if inv == hol.invariants:
             matches.append((name, inv))

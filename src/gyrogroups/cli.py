@@ -25,7 +25,7 @@ from .formats import (
     report_document,
 )
 
-# orders above this skip brute-force lattice enumeration in reports
+# orders above this skip lattice enumeration in reports
 _ENUMERATION_CAP = 64
 
 

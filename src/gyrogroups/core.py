@@ -256,6 +256,28 @@ def inverse_of(G: FiniteGyrogroup, x: int) -> int:
     return b
 
 
+def _close(G: FiniteGyrogroup, seed: frozenset[int]) -> frozenset[int]:
+    """Smallest superset of seed ∪ {0} closed under ⊕, ⊖, and internal gyrations."""
+    C = G.cayley
+    Gy = G.gyr_table
+    P = G.perm_matrix
+    inv = G.left_inverse_map()
+    members = set(seed) | {0}
+    while True:
+        S = np.fromiter(members, dtype=np.int64)
+        new = set(C[np.ix_(S, S)].ravel().tolist())
+        inv_s = inv[S]
+        if (inv_s < 0).any():
+            missing = int(S[int(np.argmax(inv_s < 0))])
+            raise GyrogroupDataError(f"element {missing} has no left inverse; cannot close")
+        new.update(inv_s.tolist())
+        for k in np.unique(Gy[np.ix_(S, S)]):
+            new.update(P[k][S].tolist())
+        if new <= members:
+            return frozenset(members)
+        members |= new
+
+
 @dataclass(frozen=True)
 class CheckResult:
     """Outcome of one verification check.
@@ -450,7 +472,7 @@ def _sampled_triples(
     gyrator_witness: tuple[int, ...] | None = None
     remaining = sample_size
     chunk = 1 << 20
-    while remaining > 0 and (assoc_witness is None or gyrator_witness is None):
+    while remaining > 0 and (assoc_witness is None or (inv_ok and gyrator_witness is None)):
         k = min(chunk, remaining)
         remaining -= k
         abc = rng.integers(0, G.order, size=(k, 3))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FiniteGyrogroup, check_left_gyroassociativity
+from .core import FiniteGyrogroup, _close, check_left_gyroassociativity
 
 __all__ = [
     "GroupInvariants",
@@ -101,22 +101,6 @@ def element_orders(table: np.ndarray) -> list[int]:
     return orders
 
 
-def _generated_subgroup_size(table: np.ndarray, seeds: set[int]) -> int:
-    T = np.asarray(table)
-    members = {0} | seeds
-    frontier = list(members)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(members):
-                for c in (int(T[a, b]), int(T[b, a])):
-                    if c not in members:
-                        members.add(c)
-                        nxt.append(c)
-        frontier = nxt
-    return len(members)
-
-
 @dataclass(frozen=True)
 class GroupInvariants:
     """Cheap isomorphism invariants used to tell small groups apart."""
@@ -154,5 +138,5 @@ def group_invariants(table: np.ndarray) -> GroupInvariants:
         abelian=bool(np.array_equal(T, T.T)),
         order_multiset=tuple(sorted(Counter(orders).items())),
         center_size=center,
-        derived_size=_generated_subgroup_size(T, commutators),
+        derived_size=len(_close(FiniteGyrogroup.from_group(T), frozenset(commutators))),
     )

@@ -8,6 +8,8 @@ from gyrogroups import (
     build_cyclic_gyrogroup,
     classify_subgyrogroups,
     closure,
+    cyclic_group,
+    direct_product,
     enumerate_subgyrogroups,
     gyroautomorphism_group,
     gyroholomorph,
@@ -19,6 +21,13 @@ from gyrogroups import (
     verify,
 )
 from gyrogroups.construct import CyclicParams
+
+from lattice_reference import (
+    ref_canonical_generators,
+    ref_closed_sets,
+    ref_covers,
+    ref_is_group,
+)
 
 
 def assert_closed(G, node):
@@ -91,6 +100,44 @@ def test_enumerated_nodes_satisfy_subgyrogroup_invariants(g4):
     lattice = enumerate_subgyrogroups(g4)
     for node in lattice.nodes:
         assert_closed(g4, node)
+
+
+def z2_power(k):
+    table = cyclic_group(2)
+    for _ in range(k - 1):
+        table = direct_product(table, cyclic_group(2))
+    return FiniteGyrogroup.from_group(table)
+
+
+def gaussian_binomial(n, k, q=2):
+    """Number of k-dimensional subspaces of an n-dimensional space over GF(q)."""
+    count = 1
+    for i in range(k):
+        count = count * (q ** (n - i) - 1) // (q ** (i + 1) - 1)
+    return count
+
+
+def test_lattice_matches_exhaustive_reference(g3, g4, z8, z4xz2, z2cubed, dih8):
+    built = [build_cyclic_gyrogroup(n) for n in (5, 6)]
+    for G in (g3, g4, *built, z8, z4xz2, z2cubed, dih8, z2_power(4)):
+        lattice = enumerate_subgyrogroups(G)
+        sets = ref_closed_sets(G)
+        assert [node.elements for node in lattice.nodes] == [tuple(sorted(s)) for s in sets]
+        for node, members in zip(lattice.nodes, sets):
+            assert node.generators == ref_canonical_generators(G, members)
+            assert node.is_group == ref_is_group(G, members)
+            assert closure(G, node.elements).generators == node.generators
+        assert lattice.covers == ref_covers(sets)
+
+
+def test_z2_power_lattice_is_the_subspace_lattice():
+    # subgyrogroups of Z2^4 are the subspaces of GF(2)^4; a k-dimensional one
+    # is covered by the 2**(4-k) - 1 subspaces of one dimension more
+    lattice = enumerate_subgyrogroups(z2_power(4))
+    nodes = sum(gaussian_binomial(4, k) for k in range(5))
+    covers = sum(gaussian_binomial(4, k) * (2 ** (4 - k) - 1) for k in range(4))
+    assert (nodes, covers) == (67, 240)
+    assert (len(lattice.nodes), len(lattice.covers)) == (nodes, covers)
 
 
 # ------------------------------------------------------------- classification

@@ -1,4 +1,8 @@
-from gyrogroups import ReportDocument, emit_tables
+import os
+
+import pytest
+
+from gyrogroups import FiniteGyrogroup, ReportDocument, cyclic_group, direct_product, emit_tables
 from gyrogroups.cli import main
 
 
@@ -138,6 +142,21 @@ def test_verify_exit_matches_report(tmp_path, capsys, g3):
     code, _, _ = run(capsys, "check", str(path), "--report", str(report_path))
     assert code == 1
     assert not ReportDocument.from_json(report_path.read_text()).all_passed
+
+
+@pytest.mark.skipif(not os.environ.get("GYRO_SLOW"), reason="set GYRO_SLOW=1 to run")
+def test_check_report_counts_z2e6_lattice(tmp_path, capsys):
+    # the subgyrogroups of Z2^6 are the 2825 subspaces of GF(2)^6:
+    # 1 + 63 + 651 + 1395 + 651 + 63 + 1
+    table = cyclic_group(2)
+    for _ in range(5):
+        table = direct_product(table, cyclic_group(2))
+    path = tmp_path / "z2e6.csv"
+    path.write_text(emit_tables(FiniteGyrogroup.from_group(table), "csv"))
+    report_path = tmp_path / "report.json"
+    code, _, _ = run(capsys, "check", str(path), "--report", str(report_path))
+    assert code == 0
+    assert ReportDocument.from_json(report_path.read_text()).subgyrogroup_count == 2825
 
 
 def test_iso_above_search_cap_exits_one(tmp_path, capsys):

@@ -218,6 +218,33 @@ def test_verify_sampled_above_limit():
     assert witness_confirms(suppressed, result)
 
 
+def test_sampled_scan_stops_once_no_witness_can_follow(monkeypatch):
+    # with column 3 constant, 3 has no left inverse, so the gyrator identity is
+    # undefined and the scan is done once the associativity witness is found
+    G = build_cyclic_gyrogroup(5)
+    cayley = G.cayley.copy()
+    cayley[:, 3] = 3
+    broken = FiniteGyrogroup(cayley, G.gyr_table, G.perms)
+    chunks = []
+    default_rng = np.random.default_rng
+
+    class CountingRng:
+        def __init__(self, seed):
+            self._rng = default_rng(seed)
+
+        def integers(self, *args, **kwargs):
+            chunks.append(kwargs.get("size"))
+            return self._rng.integers(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", CountingRng)
+    report = verify(broken, exhaustive_limit=16, sample_size=4 << 20)
+    assert report.sampled
+    assoc = report.check("left_gyroassociativity")
+    assert not assoc.passed and witness_confirms(broken, assoc)
+    assert report.check("gyrator_identity").witness == (3,)
+    assert len(chunks) == 1
+
+
 # ------------------------------------------------------------- derived laws
 
 
