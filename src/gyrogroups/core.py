@@ -8,12 +8,20 @@ pass/fail with the lexicographically smallest witness, so reports are
 deterministic regardless of how the scan is partitioned.  (Sampled scans,
 used above EXHAUSTIVE_LIMIT, instead report the first witness in the seeded
 sample order and carry a "sampled" note.)
+
+One triple scan serves both triple laws when the table has left cancellation,
+⊖x ⊕ (x ⊕ y) = y for all x, y (an O(N²) test).  Then L_{⊖z} inverts the left
+translation L_z, so with z = a ⊕ b, for every single triple
+
+    a ⊕ (b ⊕ c) = z ⊕ gyr[a,b]c  ⟺  ⊖z ⊕ (a ⊕ (b ⊕ c)) = gyr[a,b]c,
+
+that is, left gyroassociativity and the gyrator identity fail at the same
+triples and have the same smallest (or first sampled) witness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -46,6 +54,8 @@ __all__ = [
 EXHAUSTIVE_LIMIT = 512
 SAMPLE_SIZE = 10_000_000
 SAMPLE_SEED = 1729
+# Gyration indices are stored as uint16.
+_GYRATION_LIMIT = 1 << 16
 
 
 class GyrogroupDataError(ValueError):
@@ -176,6 +186,10 @@ class FiniteGyrogroup:
                 unique.append(p)
             index_of.append(remap[p.images])
         index_of = np.asarray(index_of, dtype=np.int64)
+        if len(unique) > _GYRATION_LIMIT:
+            raise GyrogroupDataError(
+                f"{len(unique)} distinct gyrations exceed the limit of {_GYRATION_LIMIT:,}"
+            )
 
         if gyr_table is not None:
             if gyr.min() < 0 or gyr.max() >= len(perm_list):
@@ -319,10 +333,9 @@ class VerificationReport:
 
 
 def _first_false(ok: np.ndarray) -> tuple[int, ...] | None:
-    bad = np.argwhere(~ok)
-    if bad.size == 0:
+    if ok.all():
         return None
-    return tuple(int(v) for v in bad[0])
+    return tuple(int(v) for v in np.argwhere(~ok)[0])
 
 
 def _first_duplicate(row: np.ndarray) -> tuple[int, int] | None:
@@ -388,7 +401,7 @@ def check_gyr_automorphisms(G: FiniteGyrogroup) -> CheckResult:
 
 
 # The two triple laws, written once over the terms a ⊕ b, a ⊕ (b ⊕ c) and
-# gyr[a,b]c; the exhaustive row scan and the sampled scan both call them.
+# gyr[a,b]c; the exhaustive scans and the sampled scan all call them.
 def _gyroassoc_holds(C, ab, a_bc, gyr_c) -> np.ndarray:
     """Left gyroassociativity a ⊕ (b ⊕ c) = (a ⊕ b) ⊕ gyr[a,b]c, elementwise."""
     return a_bc == C[ab, gyr_c]
@@ -399,17 +412,48 @@ def _gyrator_holds(C, inv, ab, a_bc, gyr_c) -> np.ndarray:
     return gyr_c == C[inv[ab], a_bc]
 
 
-def _first_triple_violation(
-    G: FiniteGyrogroup, law: Callable[..., np.ndarray]
-) -> tuple[int, ...] | None:
-    """Smallest (a, b, c) where law(a ⊕ b, a ⊕ (b ⊕ c), gyr[a,b]c) fails,
-    scanning one row a at a time."""
+def _left_cancellation_holds(G: FiniteGyrogroup) -> bool:
+    """⊖x ⊕ (x ⊕ y) = y for all x, y; false when some element has no left inverse."""
+    C = G.cayley
+    inv = G.left_inverse_map()
+    return bool((inv >= 0).all() and (C[inv[:, None], C] == np.arange(G.order)).all())
+
+
+def _first_gyroassoc_violation(G: FiniteGyrogroup) -> tuple[int, ...] | None:
+    """Smallest (a, b, c) where left gyroassociativity fails, one row a at a time.
+
+    a ⊕ (b ⊕ c) is one gather from row a.  For each distinct gyration k in
+    row a, the Cayley rows of a ⊕ b for the b with gyr[a,b] = k are gathered
+    and their columns permuted by k, which gives (a ⊕ b) ⊕ gyr[a,b]c.  Extra
+    memory is O(N²) whatever the number of distinct gyrations.
+    """
+    N = G.order
+    C = G.cayley.astype(np.min_scalar_type(N - 1))
+    index = G.cayley.astype(np.intp)
+    P = G.perm_matrix
+    Gy = G.gyr_table
+    ok = np.empty((N, N), dtype=bool)
+    for a in range(N):
+        a_bc = np.take(C[a], index)
+        for k in np.unique(Gy[a]):
+            bs = np.flatnonzero(Gy[a] == k)
+            # row i of the gathered rows is a ⊕ b_i, so its column c holds
+            # (a ⊕ b_i) ⊕ P_k(c) once the columns are indexed by P_k
+            ok[bs] = _gyroassoc_holds(C[index[a, bs]], np.s_[:], a_bc[bs], P[k])
+        bad = _first_false(ok)
+        if bad is not None:
+            return (a, *bad)
+    return None
+
+
+def _first_gyrator_violation(G: FiniteGyrogroup, inv: np.ndarray) -> tuple[int, ...] | None:
+    """Smallest (a, b, c) where the gyrator identity fails, one row a at a time."""
     C = G.cayley
     P = G.perm_matrix
     Gy = G.gyr_table
     for a in range(G.order):
         row = C[a]
-        bad = _first_false(law(row[:, None], row[C], P[Gy[a]]))
+        bad = _first_false(_gyrator_holds(C, inv, row[:, None], row[C], P[Gy[a]]))
         if bad is not None:
             return (a, *bad)
     return None
@@ -417,7 +461,7 @@ def _first_triple_violation(
 
 def check_left_gyroassociativity(G: FiniteGyrogroup) -> CheckResult:
     """a ⊕ (b ⊕ c) = (a ⊕ b) ⊕ gyr[a,b]c over all triples; witness (a, b, c)."""
-    bad = _first_triple_violation(G, partial(_gyroassoc_holds, G.cayley))
+    bad = _first_gyroassoc_violation(G)
     return CheckResult("left_gyroassociativity", bad is None, bad)
 
 
@@ -435,15 +479,29 @@ def check_gyrator_identity(G: FiniteGyrogroup) -> CheckResult:
     """Stored gyrations match ⊖(a⊕b) ⊕ (a ⊕ (b⊕c)); witness (a, b, c).
 
     Fails outright (witness (x,)) when some element has no left inverse,
-    since the formula is then undefined.
+    since the formula is then undefined.  When left cancellation holds, the
+    left gyroassociativity scan decides it, with the same witness:
+
+        ⊖z ⊕ (z ⊕ y) = y for all z, y makes L_{⊖z} the inverse of L_z, so
+        with z = a⊕b: z ⊕ gyr[a,b]c = a⊕(b⊕c)  ⟺  gyr[a,b]c = ⊖z ⊕ (a⊕(b⊕c)).
+
+    Otherwise the identity gets a row scan of its own.
     """
+    return _gyrator_identity(G, None)
+
+
+def _gyrator_identity(G: FiniteGyrogroup, assoc: CheckResult | None) -> CheckResult:
+    """`check_gyrator_identity`, reusing ``assoc``, a left gyroassociativity
+    result over the same triples, when one is at hand."""
     inv = G.left_inverse_map()
     missing = _first_false(inv >= 0)
     if missing is not None:
         return CheckResult(
             "gyrator_identity", False, missing, note="no left inverse, formula undefined"
         )
-    bad = _first_triple_violation(G, partial(_gyrator_holds, G.cayley, inv))
+    if _left_cancellation_holds(G):
+        return replace(assoc or check_left_gyroassociativity(G), name="gyrator_identity")
+    bad = _first_gyrator_violation(G, inv)
     return CheckResult("gyrator_identity", bad is None, bad)
 
 
@@ -465,14 +523,18 @@ def _sampled_triples(
     P = G.perm_matrix
     Gy = G.gyr_table
     inv = G.left_inverse_map()
-    inv_ok = bool((inv >= 0).all())
+    # otherwise the gyrator identity is undefined, or the associativity
+    # witness decides it (see the module docstring)
+    scan_gyrator = bool((inv >= 0).all()) and not _left_cancellation_holds(G)
 
     rng = np.random.default_rng(seed)
     assoc_witness: tuple[int, ...] | None = None
     gyrator_witness: tuple[int, ...] | None = None
     remaining = sample_size
     chunk = 1 << 20
-    while remaining > 0 and (assoc_witness is None or (inv_ok and gyrator_witness is None)):
+    while remaining > 0 and (
+        assoc_witness is None or (scan_gyrator and gyrator_witness is None)
+    ):
         k = min(chunk, remaining)
         remaining -= k
         abc = rng.integers(0, G.order, size=(k, 3))
@@ -484,7 +546,7 @@ def _sampled_triples(
             bad = np.nonzero(~_gyroassoc_holds(C, ab, a_bc, gyr_c))[0]
             if bad.size:
                 assoc_witness = tuple(int(v) for v in abc[bad[0]])
-        if gyrator_witness is None and inv_ok:
+        if gyrator_witness is None and scan_gyrator:
             bad = np.nonzero(~_gyrator_holds(C, inv, ab, a_bc, gyr_c))[0]
             if bad.size:
                 gyrator_witness = tuple(int(v) for v in abc[bad[0]])
@@ -493,15 +555,11 @@ def _sampled_triples(
     assoc = CheckResult(
         "left_gyroassociativity", assoc_witness is None, assoc_witness, note=note
     )
-    if not inv_ok:
-        missing = _first_false(inv >= 0)
-        gyrator = CheckResult(
-            "gyrator_identity", False, missing, note="no left inverse, formula undefined"
-        )
-    else:
-        gyrator = CheckResult(
-            "gyrator_identity", gyrator_witness is None, gyrator_witness, note=note
-        )
+    if not scan_gyrator:
+        return assoc, _gyrator_identity(G, assoc)
+    gyrator = CheckResult(
+        "gyrator_identity", gyrator_witness is None, gyrator_witness, note=note
+    )
     return assoc, gyrator
 
 
@@ -535,21 +593,18 @@ def verify(
 ) -> VerificationReport:
     """Run every check and aggregate the results; nothing short-circuits.
 
-    Orders above ``exhaustive_limit`` replace the two full triple scans with
+    Orders above ``exhaustive_limit`` replace the full triple scans with
     ``sample_size`` seeded pseudo-random triples and label the report sampled.
+    One triple scan serves both triple laws when left cancellation holds.
     """
     results = [check(G) for check in _PAIR_CHECKS]
     sampled = G.order > exhaustive_limit
     if sampled:
         assoc, gyrator = _sampled_triples(G, seed, sample_size)
-        results.append(assoc)
-        results.append(check_loop_property(G))
-        results.append(gyrator)
     else:
-        results.append(check_left_gyroassociativity(G))
-        results.append(check_loop_property(G))
-        results.append(check_gyrator_identity(G))
-    results.append(check_gyrocommutative(G))
+        assoc = check_left_gyroassociativity(G)
+        gyrator = _gyrator_identity(G, assoc)
+    results += [assoc, check_loop_property(G), gyrator, check_gyrocommutative(G)]
     return VerificationReport(
         checks=tuple(results),
         sampled=sampled,

@@ -1,8 +1,10 @@
+import itertools
 import os
 
 import numpy as np
 import pytest
 
+from gyrogroups import core
 from gyrogroups import (
     CHECK_NAMES,
     FiniteGyrogroup,
@@ -21,6 +23,7 @@ from gyrogroups import (
     verify,
 )
 
+from triple_reference import ref_gyrator_witness, ref_gyroassoc_witness
 from witness_checks import witness_confirms
 
 
@@ -65,6 +68,19 @@ def test_constructor_deduplicates_permutations():
     G = FiniteGyrogroup([[0, 1], [1, 0]], [[0, 1], [1, 0]], (ident, Permutation((0, 1))))
     assert len(G.perms) == 1
     assert G.gyr_table.max() == 0
+
+
+def test_constructor_rejects_gyration_index_overflow():
+    # gyration indices are stored as uint16; the 65,537th distinct
+    # permutation used to wrap around to permutation 0
+    perms = [Permutation(p) for p in itertools.islice(itertools.permutations(range(9)), 65537)]
+    gyr = np.zeros((9, 9), dtype=int)
+    gyr[1, 1] = 65536
+    with pytest.raises(GyrogroupDataError, match="65537 distinct gyrations exceed the limit of 65,536"):
+        FiniteGyrogroup(cyclic_group(9), gyr, perms)
+    gyr[1, 1] = 65535
+    G = FiniteGyrogroup(cyclic_group(9), gyr, perms[:65536])
+    assert G.gyration(1, 1) == perms[65535]
 
 
 def test_tables_are_immutable(g3):
@@ -156,6 +172,74 @@ def test_gyrator_identity_undefined_without_inverses():
     assert witness_confirms(constant, result)
 
 
+def _cayley_mutations(n):
+    G = build_cyclic_gyrogroup(n)
+    for a, b in np.ndindex(G.order, G.order):
+        for v in range(G.order):
+            if v != G.cayley[a, b]:
+                cayley = np.array(G.cayley)
+                cayley[a, b] = v
+                yield FiniteGyrogroup(cayley, G.gyr_table, G.perms)
+
+
+def _gyration_flips(n):
+    G = build_cyclic_gyrogroup(n)
+    for a, b in np.ndindex(G.order, G.order):
+        gyr = np.array(G.gyr_table)
+        gyr[a, b] ^= 1
+        yield FiniteGyrogroup(G.cayley, gyr, G.perms)
+
+
+def _random_gyrations(seed):
+    # each row refers to at least three distinct gyrations, in no order
+    rng = np.random.default_rng(seed)
+    G = build_cyclic_gyrogroup(4)
+    perms = [Permutation(tuple(int(v) for v in rng.permutation(16))) for _ in range(5)]
+    gyr = rng.integers(0, 5, size=(16, 16))
+    assert min(len(set(row)) for row in gyr.tolist()) >= 3
+    return FiniteGyrogroup(G.cayley, gyr, perms)
+
+
+TRIPLE_CASES = {
+    "n3 cayley mutations": (lambda: _cayley_mutations(3), False),
+    "n3 gyration flips": (lambda: _gyration_flips(3), True),
+    "n4 gyration flips": (lambda: _gyration_flips(4), True),
+    "order 16, random gyrations": (lambda: map(_random_gyrations, range(8)), True),
+    "constant table": (lambda: [FiniteGyrogroup([list(range(4))] * 4)], False),
+}
+
+
+@pytest.mark.parametrize("case", list(TRIPLE_CASES))
+def test_triple_witnesses_match_reference(case):
+    tables, cancels = TRIPLE_CASES[case]
+    for G in tables():
+        # with left cancellation the gyrator identity takes the shortcut,
+        # otherwise its own row scan
+        assert core._left_cancellation_holds(G) == cancels
+        assoc = check_left_gyroassociativity(G)
+        gyrator = check_gyrator_identity(G)
+        assert assoc.witness == ref_gyroassoc_witness(G)
+        assert gyrator.witness == ref_gyrator_witness(G)
+        assert assoc.passed == (assoc.witness is None)
+        assert gyrator.passed == (gyrator.witness is None)
+
+
+def test_verify_scans_the_triples_once_with_left_cancellation(monkeypatch):
+    counted = []
+    for name in ("_gyroassoc_holds", "_gyrator_holds"):
+        law = getattr(core, name)
+
+        def counting(*args, law=law):
+            ok = law(*args)
+            counted.append(ok.size)
+            return ok
+
+        monkeypatch.setattr(core, name, counting)
+    G = build_cyclic_gyrogroup(5)
+    assert verify(G).passed
+    assert sum(counted) == G.order**3
+
+
 def test_gyrocommutative(g3, z8, dih8):
     assert check_gyrocommutative(g3).passed
     assert check_gyrocommutative(z8).passed
@@ -204,6 +288,19 @@ def test_verify_full_for_n3_to_n8():
 def test_verify_full_at_order_512():
     report = verify(build_cyclic_gyrogroup(9))
     assert report.passed and not report.sampled
+
+
+@pytest.mark.skipif(not os.environ.get("GYRO_SLOW"), reason="set GYRO_SLOW=1 to run")
+def test_verify_flipped_gyration_at_order_512():
+    G = build_cyclic_gyrogroup(9)
+    gyr = np.array(G.gyr_table)
+    gyr[511, 0] ^= 1
+    report = verify(FiniteGyrogroup(G.cayley, gyr, G.perms))
+    assert {c.name: c.witness for c in report.failures()} == {
+        "left_gyroassociativity": (511, 0, 1),
+        "gyrator_identity": (511, 0, 1),
+        "gyrocommutativity": (511, 0),
+    }
 
 
 def test_verify_sampled_above_limit():
