@@ -29,6 +29,7 @@ from .groups import (
     GroupInvariants,
     cyclic_group,
     direct_product,
+    element_orders,
     first_group_axiom_violation,
     group_invariants,
     semidirect_cyclic_z2,
@@ -234,28 +235,32 @@ def classify_subgyrogroups(n: int) -> list[Subgyrogroup]:
 
 
 def gyroautomorphism_group(G: FiniteGyrogroup) -> tuple[Permutation, ...]:
-    """The group generated under composition by every gyration in the table.
+    """The group Γ generated under composition by the distinct gyrations.
 
-    For arbitrary inputs this is the generated closure, which here coincides
-    with the set of distinct gyrations; identity first, then by images.
+    Γ can be far larger than the set of gyrations (two gyrations of an
+    order-8 table may generate all 40320 permutations).  It is closed from
+    the identity by composing each new element with the generators only,
+    since in a finite group the monoid they generate is the group.  Identity
+    first, then by images.
     """
-    gens = [G.perms[int(k)] for k in np.unique(G.gyr_table)]
-    elems = {p.images: p for p in gens}
-    frontier = list(elems.values())
-    while frontier:
-        fresh = []
-        for p in frontier:
-            for q in list(elems.values()):
-                for r in (p.compose(q), q.compose(p)):
-                    if r.images not in elems:
-                        elems[r.images] = r
-                        fresh.append(r)
-        frontier = fresh
-    ident = Permutation.identity(G.order)
-    if ident.images not in elems:  # powers always reach it; guard tiny tables
-        elems[ident.images] = ident
-    rest = sorted((img for img in elems if img != ident.images))
-    return (ident,) + tuple(elems[img] for img in rest)
+    gens = G.perm_matrix[np.unique(G.gyr_table)]
+    # rows are deduplicated as raw bytes, which is much cheaper than
+    # np.unique(axis=0); one lexsort at the end orders them by images
+    key = np.dtype((np.void, gens.dtype.itemsize * G.order))
+    known = frontier = np.arange(G.order, dtype=gens.dtype)[None, :]
+    while len(frontier):
+        rows = np.concatenate([known, frontier[:, gens].reshape(-1, G.order)])
+        first = np.sort(np.unique(rows.view(key), return_index=True)[1])
+        known, frontier = rows[first], rows[first[first >= len(known)]]
+    known = known[np.lexsort(known.T[::-1])]
+    return tuple(Permutation(tuple(images)) for images in known.tolist())
+
+
+def _row_index(sorted_rows: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Position of each of ``rows`` in ``sorted_rows``, which holds them all
+    and is sorted and duplicate-free, as ``np.unique(..., axis=0)`` leaves it."""
+    _, inverse = np.unique(np.concatenate([sorted_rows, rows]), axis=0, return_inverse=True)
+    return inverse.reshape(-1)[len(sorted_rows):]
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,6 +273,23 @@ class GyroholomorphGroup:
     invariants: GroupInvariants
 
 
+def _holomorph_table(G: FiniteGyrogroup) -> np.ndarray:
+    """The gyroholomorph's Cayley table, unchecked.  The pair (x, Γ_i) is
+    element x·k + i with k = |Γ|, and the table is one broadcast over
+    (x, X, y, Y) through the composition table of Γ."""
+    gamma = np.array([p.images for p in gyroautomorphism_group(G)])
+    k, N = gamma.shape
+    # comp[i, j] is the index of Γ_i ∘ Γ_j; gyr[x, y] is the index of gyr[x, y] in Γ
+    comp = _row_index(gamma, gamma[:, gamma].reshape(-1, N)).reshape(k, k)
+    used, position = np.unique(G.gyr_table, return_inverse=True)
+    gyr = _row_index(gamma, G.perm_matrix[used])[position].reshape(N, N)
+    x = np.arange(N)[:, None, None]
+    Xy = gamma[None, :, :]  # X(y), over (x, X, y)
+    twist = comp[gyr[x, Xy], np.arange(k)[None, :, None]]
+    table = G.cayley[x, Xy][..., None] * k + comp[twist[..., None], np.arange(k)]
+    return table.reshape(N * k, N * k)
+
+
 def gyroholomorph(G: FiniteGyrogroup) -> GyroholomorphGroup:
     """Build the group on pairs (x, X) with
 
@@ -276,21 +298,7 @@ def gyroholomorph(G: FiniteGyrogroup) -> GyroholomorphGroup:
     where composition applies right-to-left, and verify the group axioms
     exhaustively.  A violation means the input tables are corrupt and raises.
     """
-    gamma = gyroautomorphism_group(G)
-    k = len(gamma)
-    index = {p.images: i for i, p in enumerate(gamma)}
-    n = G.order * k
-    table = np.empty((n, n), dtype=np.int64)
-    for x in range(G.order):
-        for xi, X in enumerate(gamma):
-            row = x * k + xi
-            for y in range(G.order):
-                xy = X(y)
-                z = G.oplus(x, xy)
-                twist = G.gyration(x, xy).compose(X)
-                for yi, Y in enumerate(gamma):
-                    table[row, y * k + yi] = z * k + index[twist.compose(Y).images]
-
+    table = _holomorph_table(G)
     violation = first_group_axiom_violation(table)
     if violation is not None:
         raise GyrogroupDataError(
@@ -299,7 +307,7 @@ def gyroholomorph(G: FiniteGyrogroup) -> GyroholomorphGroup:
     invariants = group_invariants(table)
     table.setflags(write=False)
     return GyroholomorphGroup(
-        order=n,
+        order=table.shape[0],
         cayley=table,
         element_order_multiset=invariants.order_multiset,
         invariants=invariants,
@@ -336,25 +344,11 @@ def holomorph_structure_matches(
     return matches
 
 
-def _left_orders(G: FiniteGyrogroup) -> list[int]:
-    """Order of each element under left powers x^(k+1) = x ⊕ x^k; 0 if no return."""
-    C = G.cayley
-    out = []
-    for x in range(G.order):
-        acc = x
-        k = 1
-        while acc != 0 and k <= G.order:
-            acc = int(C[x, acc])
-            k += 1
-        out.append(k if acc == 0 else 0)
-    return out
-
-
 def _element_profiles(G: FiniteGyrogroup) -> list[tuple[int, int, int]]:
     nontrivial = np.array([not p.is_identity for p in G.perms])[G.gyr_table]
     rows = nontrivial.sum(axis=1)
     cols = nontrivial.sum(axis=0)
-    orders = _left_orders(G)
+    orders = element_orders(G.cayley.T)  # left powers x ⊕ x^k
     return [(orders[x], int(rows[x]), int(cols[x])) for x in range(G.order)]
 
 

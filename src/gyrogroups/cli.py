@@ -15,7 +15,7 @@ from .analyze import (
     isomorphic,
 )
 from .construct import build_cyclic_gyrogroup
-from .core import FiniteGyrogroup, VerificationReport, verify
+from .core import FiniteGyrogroup, GyrogroupDataError, VerificationReport, verify
 from .formats import (
     TableFormatError,
     emit_lattice_dot,
@@ -191,7 +191,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TableFormatError, FileNotFoundError) as exc:
+    except (TableFormatError, GyrogroupDataError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FiniteGyrogroup, _close, check_left_gyroassociativity
+from .core import FiniteGyrogroup, _close, _first_false, check_left_gyroassociativity
 
 __all__ = [
     "GroupInvariants",
@@ -57,31 +57,23 @@ def semidirect_cyclic_z2(m: int, k: int) -> np.ndarray:
     """
     if (k * k - 1) % m:
         raise ValueError(f"action x -> {k}x is not an involution mod {m}")
-    n = 2 * m
-    table = np.empty((n, n), dtype=np.int64)
-    for x in range(n):
-        a, e = x % m, x // m
-        for y in range(n):
-            b, f = y % m, y // m
-            table[x, y] = (a + (b * k if e else b)) % m + m * ((e + f) % 2)
-    return table
+    e, a = np.divmod(np.arange(2 * m), m)
+    scale = np.where(e, k, 1)[:, None]
+    return (a[:, None] + scale * a[None, :]) % m + m * (e[:, None] ^ e[None, :])
 
 
 def first_group_axiom_violation(table: np.ndarray) -> tuple[str, tuple[int, ...]] | None:
     """First failing group axiom (identity 0, two-sided inverses, associativity)."""
     T = np.asarray(table)
-    n = T.shape[0]
-    idx = np.arange(n)
-    bad = np.argwhere(T[0] != idx)
-    if bad.size:
-        return "left_identity", (int(bad[0][0]),)
-    bad = np.argwhere(T[:, 0] != idx)
-    if bad.size:
-        return "right_identity", (int(bad[0][0]),)
-    for a in range(n):
-        has = np.nonzero((T[a] == 0) & (T[:, a] == 0))[0]
-        if has.size == 0:
-            return "inverse", (a,)
+    idx = np.arange(T.shape[0])
+    for name, ok in (
+        ("left_identity", T[0] == idx),
+        ("right_identity", T[:, 0] == idx),
+        ("inverse", ((T == 0) & (T.T == 0)).any(axis=1)),
+    ):
+        witness = _first_false(ok)
+        if witness is not None:
+            return name, witness
     associativity = check_left_gyroassociativity(FiniteGyrogroup.from_group(T))
     if not associativity.passed:
         return "associativity", associativity.witness
@@ -89,16 +81,16 @@ def first_group_axiom_violation(table: np.ndarray) -> tuple[str, tuple[int, ...]
 
 
 def element_orders(table: np.ndarray) -> list[int]:
+    """The least k >= 1 with a^k = 0 under right powers a^(k+1) = a^k · a, for
+    each a; 0 when the powers do not reach 0 within n steps (they cycle then)."""
     T = np.asarray(table)
-    orders = []
-    for a in range(T.shape[0]):
-        x = a
-        k = 1
-        while x != 0:
-            x = int(T[x, a])
-            k += 1
-        orders.append(k)
-    return orders
+    n = T.shape[0]
+    orders = np.zeros(n, dtype=np.int64)
+    power = idx = np.arange(n)
+    for k in range(1, n + 1):
+        orders[(power == 0) & (orders == 0)] = k
+        power = T[power, idx]
+    return orders.tolist()
 
 
 @dataclass(frozen=True)
@@ -126,17 +118,12 @@ def group_invariants(table: np.ndarray) -> GroupInvariants:
     if violation is not None:
         raise ValueError(f"not a group table: {violation[0]} fails at {violation[1]}")
     orders = element_orders(T)
-    center = sum(1 for e in range(n) if np.array_equal(T[e], T[:, e]))
-    inv = np.empty(n, dtype=np.int64)
-    for a in range(n):
-        inv[a] = int(np.nonzero(T[a] == 0)[0][0])
-    commutators = {
-        int(T[T[a, b], inv[T[b, a]]]) for a in range(n) for b in range(n)
-    }
+    inv = np.argmax(T == 0, axis=1)
+    commutators = np.unique(T[T, inv[T.T]])
     return GroupInvariants(
         order=n,
         abelian=bool(np.array_equal(T, T.T)),
         order_multiset=tuple(sorted(Counter(orders).items())),
-        center_size=center,
-        derived_size=len(_close(FiniteGyrogroup.from_group(T), frozenset(commutators))),
+        center_size=int((T == T.T).all(axis=1).sum()),
+        derived_size=len(_close(FiniteGyrogroup.from_group(T), frozenset(commutators.tolist()))),
     )

@@ -20,8 +20,15 @@ from gyrogroups import (
     restrict,
     verify,
 )
+from gyrogroups.analyze import _element_profiles, _holomorph_table
 from gyrogroups.construct import CyclicParams
 
+from holomorph_reference import (
+    ref_group_invariants,
+    ref_gyroautomorphism_group,
+    ref_holomorph_table,
+    ref_left_orders,
+)
 from lattice_reference import (
     ref_canonical_generators,
     ref_closed_sets,
@@ -196,7 +203,41 @@ def test_gyroautomorphism_group_order_2_up_to_n8():
         assert len(gyroautomorphism_group(build_cyclic_gyrogroup(n))) == 2
 
 
+def seeded_gyrations(m, seed):
+    """Z_m with each gyration drawn from the identity and three random permutations."""
+    rng = np.random.default_rng(seed)
+    perms = [Permutation.identity(m)]
+    perms += [Permutation(tuple(rng.permutation(m).tolist())) for _ in range(3)]
+    return FiniteGyrogroup(cyclic_group(m), rng.integers(0, 4, size=(m, m)), perms)
+
+
+def test_gyroautomorphism_group_matches_pairwise_reference(g3, g4, z8, z4xz2, z2cubed, dih8):
+    built = [build_cyclic_gyrogroup(n) for n in (5, 6)]
+    # Γ of order 24 (or 12), 120 (or 60) and 360; the reference is quadratic in |Γ|
+    seeded = [seeded_gyrations(4, s) for s in range(5)] + [
+        seeded_gyrations(5, s) for s in range(3)
+    ] + [seeded_gyrations(6, 0)]
+    for G in (g3, g4, *built, z8, z4xz2, z2cubed, dih8, *seeded):
+        assert gyroautomorphism_group(G) == ref_gyroautomorphism_group(G)
+    assert len(gyroautomorphism_group(seeded[-1])) == 360
+
+
 # ------------------------------------------------------------- gyroholomorph
+
+
+def test_gyroholomorph_matches_entrywise_reference(g3, g4, z8, z4xz2, z2cubed, dih8):
+    built = [build_cyclic_gyrogroup(n) for n in (5, 6)]
+    for G in (g3, g4, *built, z8, z4xz2, z2cubed, dih8):
+        hol = gyroholomorph(G)
+        table = ref_holomorph_table(G)
+        assert np.array_equal(hol.cayley, table)
+        assert hol.invariants == ref_group_invariants(table)
+    # random gyrations generate S_4 or A_4 and give no group
+    for seed in range(5):
+        G = seeded_gyrations(4, seed)
+        assert np.array_equal(_holomorph_table(G), ref_holomorph_table(G))
+    with pytest.raises(GyrogroupDataError, match="gyroholomorph table fails group axiom"):
+        gyroholomorph(G)
 
 
 def test_gyroholomorph_structure(g4):
@@ -232,6 +273,15 @@ def relabel(G, sigma):
         for p in G.perms
     ]
     return FiniteGyrogroup(cayley, gyr, perms)
+
+
+def test_element_profiles_use_left_orders(g3, g4, z8, z4xz2, z2cubed, dih8):
+    built = [build_cyclic_gyrogroup(n) for n in (5, 6, 7)]
+    # left powers of 1 run 1, 2, 2, ... and never reach 0
+    stuck = FiniteGyrogroup.from_group([[0, 1, 2], [1, 2, 2], [2, 1, 1]])
+    for G in (g3, g4, *built, z8, z4xz2, z2cubed, dih8, stuck):
+        assert [orders for orders, _, _ in _element_profiles(G)] == ref_left_orders(G)
+    assert [orders for orders, _, _ in _element_profiles(stuck)] == [1, 0, 0]
 
 
 def test_isomorphic_reflexive(g3, g4):

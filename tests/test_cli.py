@@ -1,8 +1,21 @@
+import itertools
 import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from gyrogroups import FiniteGyrogroup, ReportDocument, cyclic_group, direct_product, emit_tables
+import gyrogroups
+from gyrogroups import (
+    FiniteGyrogroup,
+    Permutation,
+    ReportDocument,
+    cyclic_group,
+    direct_product,
+    emit_tables,
+)
 from gyrogroups.cli import main
 
 
@@ -168,3 +181,41 @@ def test_iso_above_search_cap_exits_one(tmp_path, capsys):
     code, out, err = run(capsys, "iso", "--left", str(left), "--right", str(right))
     assert code == 1 and out == ""
     assert err == "error: exhaustive search capped at order 32\n"
+
+
+def test_check_gyration_overflow_exits_one(tmp_path, capsys):
+    # a Z9 file whose legend names 65,537 distinct permutations cannot be
+    # validated: that is exit 1, like any other bad file, not an argument error
+    lines = ["order,9", "cayley"]
+    lines += [",".join(str((a + b) % 9) for b in range(9)) for a in range(9)]
+    lines += ["gyration"] + [",".join(["I"] * 9)] * 9
+    perms = itertools.islice(itertools.permutations(range(9)), 65537)
+    lines += [f"perm {'I' if i == 0 else f'P{i}'}: " + " ".join(map(str, p)) for i, p in enumerate(perms)]
+    path = tmp_path / "z9.csv"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 1 and out == ""
+    assert err == "error: 65537 distinct gyrations exceed the limit of 65,536\n"
+
+
+def test_check_report_ends_when_gyrations_generate_s8(tmp_path):
+    # a transposition and an 8-cycle generate all 40320 permutations of the
+    # order-8 carrier; a subprocess with a timeout turns a hang into a failure
+    gyr = np.zeros((8, 8), dtype=int)
+    gyr[1, 1], gyr[1, 2] = 1, 2
+    perms = [
+        Permutation.identity(8),
+        Permutation((1, 0, 2, 3, 4, 5, 6, 7)),
+        Permutation((1, 2, 3, 4, 5, 6, 7, 0)),
+    ]
+    path = tmp_path / "s8.csv"
+    path.write_text(emit_tables(FiniteGyrogroup(cyclic_group(8), gyr, perms), "csv"))
+    report_path = tmp_path / "report.json"
+    src = str(Path(gyrogroups.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "gyrogroups.cli", "check", str(path), "--report", str(report_path)],
+        env=env, capture_output=True, timeout=30,
+    )
+    assert done.returncode == 1
+    assert ReportDocument.from_json(report_path.read_text()).gyroauto_order == 40320
