@@ -190,7 +190,9 @@ def test_check_gyration_overflow_exits_one(tmp_path, capsys):
     lines += [",".join(str((a + b) % 9) for b in range(9)) for a in range(9)]
     lines += ["gyration"] + [",".join(["I"] * 9)] * 9
     perms = itertools.islice(itertools.permutations(range(9)), 65537)
-    lines += [f"perm {'I' if i == 0 else f'P{i}'}: " + " ".join(map(str, p)) for i, p in enumerate(perms)]
+    lines += [
+        f"perm {f'P{i}' if i else 'I'}: " + " ".join(map(str, p)) for i, p in enumerate(perms)
+    ]
     path = tmp_path / "z9.csv"
     path.write_text("\n".join(lines) + "\n")
     code, out, err = run(capsys, "check", str(path))
@@ -212,7 +214,8 @@ def test_check_report_ends_when_gyrations_generate_s8(tmp_path):
     path.write_text(emit_tables(FiniteGyrogroup(cyclic_group(8), gyr, perms), "csv"))
     report_path = tmp_path / "report.json"
     src = str(Path(gyrogroups.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    path_list = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_list)))
     done = subprocess.run(
         [sys.executable, "-m", "gyrogroups.cli", "check", str(path), "--report", str(report_path)],
         env=env, capture_output=True, timeout=30,
