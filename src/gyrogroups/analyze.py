@@ -434,33 +434,34 @@ def is_degenerate_group(G: FiniteGyrogroup) -> bool:
 
 
 def restrict(G: FiniteGyrogroup, elements) -> FiniteGyrogroup:
-    """Relabel a closed subset as a standalone gyrogroup on 0..k-1."""
-    subset = sorted(int(e) for e in elements)
-    pos = {e: i for i, e in enumerate(subset)}
-    if 0 not in pos:
-        raise ValueError("subset must contain the identity 0")
+    """Relabel a closed subset as a standalone gyrogroup on 0..k-1.
+
+    Raises ValueError at the first pair (a, b), in row-major order, whose sum
+    escapes the subset or whose gyration, where it first appears, maps a
+    member out of it; the sum is checked first.
+    """
+    subset = np.array(sorted(int(e) for e in elements), dtype=np.int64)
+    if subset[:1].tolist() != [0] or subset[-1] >= G.order:
+        raise ValueError(f"subset must contain the identity 0 and lie in 0..{G.order - 1}")
     k = len(subset)
-    sub_cayley = np.empty((k, k), dtype=np.int64)
-    sub_gyr = np.empty((k, k), dtype=np.int64)
-    perm_cache: dict[int, int] = {}
-    sub_perms: list[Permutation] = []
-    for i, a in enumerate(subset):
-        for j, b in enumerate(subset):
-            value = G.oplus(a, b)
-            if value not in pos:
-                raise ValueError(f"subset not closed: {a} ⊕ {b} = {value} escapes")
-            sub_cayley[i, j] = pos[value]
-            gk = G.gyr_index(a, b)
-            if gk not in perm_cache:
-                images = []
-                for e in subset:
-                    img = G.perms[gk](e)
-                    if img not in pos:
-                        raise ValueError(
-                            f"subset not closed under gyr[{a},{b}]: {e} -> {img}"
-                        )
-                    images.append(pos[img])
-                perm_cache[gk] = len(sub_perms)
-                sub_perms.append(Permutation(tuple(images)))
-            sub_gyr[i, j] = perm_cache[gk]
-    return FiniteGyrogroup(sub_cayley, sub_gyr, sub_perms)
+    pos = np.full(G.order, -1, dtype=np.int64)
+    pos[subset] = np.arange(k)
+    sub_cayley = pos[G.cayley[subset[:, None], subset]]
+    gyrations, first, index = np.unique(
+        G.gyr_table[subset[:, None], subset], return_index=True, return_inverse=True
+    )
+    images = pos[G.perm_matrix[gyrations][:, subset]]
+    escapes = np.flatnonzero(sub_cayley < 0)[:1].tolist()
+    leaks = np.sort(first[(images < 0).any(axis=1)])[:1].tolist()
+    if escapes or leaks:
+        at = min(escapes + leaks)
+        a, b = (int(subset[i]) for i in divmod(at, k))
+        if at in escapes:
+            raise ValueError(f"subset not closed: {a} ⊕ {b} = {G.oplus(a, b)} escapes")
+        gyr = G.gyration(a, b)
+        e = next(e for e in subset.tolist() if pos[gyr(e)] < 0)
+        raise ValueError(f"subset not closed under gyr[{a},{b}]: {e} -> {gyr(e)}")
+    # the sub-table numbers its gyrations by first appearance
+    order = np.argsort(first)
+    sub_perms = [Permutation(tuple(row)) for row in images[order].tolist()]
+    return FiniteGyrogroup(sub_cayley, np.argsort(order)[index].reshape(k, k), sub_perms)

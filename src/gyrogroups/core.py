@@ -177,15 +177,10 @@ class FiniteGyrogroup:
 
         # Deduplicate so gyration equality is index equality; keep first
         # occurrences in order so emitted documents are stable.
-        remap: dict[tuple[int, ...], int] = {}
-        unique: list[Permutation] = []
-        index_of = []
-        for p in perm_list:
-            if p.images not in remap:
-                remap[p.images] = len(unique)
-                unique.append(p)
-            index_of.append(remap[p.images])
+        index: dict[tuple[int, ...], int] = {}
+        index_of = [index.setdefault(p.images, len(index)) for p in perm_list]
         index_of = np.asarray(index_of, dtype=np.int64)
+        unique = [perm_list[i] for i in np.unique(index_of, return_index=True)[1]]
         if len(unique) > _GYRATION_LIMIT:
             raise GyrogroupDataError(
                 f"{len(unique)} distinct gyrations exceed the limit of {_GYRATION_LIMIT:,}"
@@ -244,11 +239,9 @@ class FiniteGyrogroup:
     def left_inverse_map(self) -> np.ndarray:
         """For each x the smallest b with b ⊕ x = 0, or -1 when none exists."""
         if self._inverse_map is None:
-            inv = np.full(self.order, -1, dtype=np.int64)
-            rows, cols = np.nonzero(self._cayley == 0)
-            # reversed so the smallest row index wins for each column
-            for r, c in zip(rows[::-1], cols[::-1]):
-                inv[c] = r
+            zero = self._cayley == 0
+            # the first row holding 0 in each column
+            inv = np.where(zero.any(axis=0), np.argmax(zero, axis=0), -1).astype(np.int64)
             inv.setflags(write=False)
             self._inverse_map = inv
         return self._inverse_map
@@ -338,35 +331,27 @@ def _first_false(ok: np.ndarray) -> tuple[int, ...] | None:
     return tuple(int(v) for v in np.argwhere(~ok)[0])
 
 
-def _first_duplicate(row: np.ndarray) -> tuple[int, int] | None:
-    seen: dict[int, int] = {}
-    for j, v in enumerate(row.tolist()):
-        if v in seen:
-            return seen[v], j
-        seen[v] = j
-    return None
+def _translations(name: str, rows: np.ndarray) -> CheckResult:
+    """Every row of ``rows`` is a permutation; witness (i, j1, j2): the first
+    bad row i, the first j2 whose value stood earlier in the row, first at j1."""
+    ok = (np.sort(rows, axis=1) == np.arange(len(rows))).all(axis=1)
+    if ok.all():
+        return CheckResult(name, True)
+    i = int(np.argmin(ok))
+    repeat = np.ones(len(rows), dtype=bool)
+    repeat[np.unique(rows[i], return_index=True)[1]] = False
+    j2 = int(np.argmax(repeat))
+    return CheckResult(name, False, (i, int(np.argmax(rows[i] == rows[i, j2])), j2))
 
 
 def check_left_translations(G: FiniteGyrogroup) -> CheckResult:
     """Every row of the Cayley table is a permutation; witness (a, j1, j2)."""
-    C = G.cayley
-    ok = (np.sort(C, axis=1) == np.arange(G.order)).all(axis=1)
-    for a in np.nonzero(~ok)[0][:1]:
-        dup = _first_duplicate(C[a])
-        assert dup is not None
-        return CheckResult("left_translations_bijective", False, (int(a), dup[0], dup[1]))
-    return CheckResult("left_translations_bijective", True)
+    return _translations("left_translations_bijective", G.cayley)
 
 
 def check_right_translations(G: FiniteGyrogroup) -> CheckResult:
     """Every column of the Cayley table is a permutation; witness (b, a1, a2)."""
-    C = G.cayley
-    ok = (np.sort(C, axis=0) == np.arange(G.order)[:, None]).all(axis=0)
-    for b in np.nonzero(~ok)[0][:1]:
-        dup = _first_duplicate(C[:, b])
-        assert dup is not None
-        return CheckResult("right_translations_bijective", False, (int(b), dup[0], dup[1]))
-    return CheckResult("right_translations_bijective", True)
+    return _translations("right_translations_bijective", G.cayley.T)
 
 
 def check_left_identity(G: FiniteGyrogroup) -> CheckResult:
@@ -515,13 +500,27 @@ def check_gyrocommutative(G: FiniteGyrogroup) -> CheckResult:
     return CheckResult("gyrocommutativity", False, bad)
 
 
+class _FlatTable:
+    """``table[x, y]`` as one gather at x * width + y from the raveled table, which
+    is cheaper than 2-D fancy indexing; the index type holds the table's size."""
+
+    def __init__(self, table: np.ndarray) -> None:
+        self.flat = table.ravel()
+        self.width = table.shape[1]
+        self.index_type = np.min_scalar_type(-table.size)
+
+    def __getitem__(self, xy: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        x, y = xy
+        return np.take(self.flat, np.multiply(x, self.width, dtype=self.index_type) + y)
+
+
 def _sampled_triples(
     G: FiniteGyrogroup, seed: int, sample_size: int
 ) -> tuple[CheckResult, CheckResult]:
     """Seeded-sample versions of the two triple checks for large orders."""
-    C = G.cayley
-    P = G.perm_matrix
-    Gy = G.gyr_table
+    C = _FlatTable(G.cayley)
+    P = _FlatTable(G.perm_matrix)
+    Gy = _FlatTable(G.gyr_table)
     inv = G.left_inverse_map()
     # otherwise the gyrator identity is undefined, or the associativity
     # witness decides it (see the module docstring)
@@ -537,8 +536,9 @@ def _sampled_triples(
     ):
         k = min(chunk, remaining)
         remaining -= k
-        abc = rng.integers(0, G.order, size=(k, 3))
-        a, b, c = abc[:, 0], abc[:, 1], abc[:, 2]
+        # the same draws, held in the narrowest type to keep the chunk small
+        abc = rng.integers(0, G.order, size=(k, 3)).astype(np.min_scalar_type(-G.order))
+        a, b, c = abc.T
         ab = C[a, b]
         a_bc = C[a, C[b, c]]
         gyr_c = P[Gy[a, b], c]

@@ -8,8 +8,9 @@ documents round-trip exactly.
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -46,54 +47,51 @@ def _symbols(G: FiniteGyrogroup) -> list[str]:
     # letters are handed out by first appearance in the gyration table
     # (row-major); permutations never referenced come after those
     values, first = np.unique(G.gyr_table, return_index=True)
-    appearance = [int(v) for _, v in sorted(zip(first.tolist(), values.tolist()))]
-    appearance += [k for k in range(len(G.perms)) if k not in set(appearance)]
-    symbols: list[str] = [""] * len(G.perms)
-    counter = 0
+    appearance = values[np.argsort(first)].tolist()
+    appearance += sorted(set(range(len(G.perms))).difference(appearance))
+    names = iter([*_LETTERS, *(f"P{c}" for c in range(len(_LETTERS), len(G.perms)))])
+    symbols = [""] * len(G.perms)
     for k in appearance:
-        if G.perms[k].is_identity:
-            symbols[k] = "I"
-        elif counter < len(_LETTERS):
-            symbols[k] = _LETTERS[counter]
-            counter += 1
-        else:
-            symbols[k] = f"P{counter}"
-            counter += 1
+        symbols[k] = "I" if G.perms[k].is_identity else next(names)
     return symbols
 
 
-def _text_grid(rows: list[list[str]]) -> list[str]:
-    n = len(rows)
-    width = max(len(str(n - 1)), max(len(v) for row in rows for v in row))
-    head = " " * width + " | " + " ".join(f"{j:>{width}}" for j in range(n))
+def _label_rows(labels: list[str], table: np.ndarray) -> list[list[str]]:
+    """The table as rows of strings, entry v written as labels[v]."""
+    return np.array(labels, dtype=object)[table].tolist()
+
+
+def _text_grid(labels: list[str], table: np.ndarray) -> list[str]:
+    """Header, rule and one line per row, right-aligned in columns as wide as
+    the widest label in use or the widest index."""
+    n = len(table)
+    width = max(len(str(n - 1)), *(len(labels[k]) for k in np.unique(table).tolist()))
+    line = f"%{width}s | " + " ".join([f"%{width}s"] * n)
     sep = "-" * width + "-+-" + "-" * (n * (width + 1) - 1)
-    lines = [head, sep]
-    for a, row in enumerate(rows):
-        lines.append(f"{a:>{width}} | " + " ".join(f"{v:>{width}}" for v in row))
-    return lines
+    rows = _label_rows(labels, table)
+    return [line % ("", *range(n)), sep] + [line % (a, *row) for a, row in enumerate(rows)]
 
 
 def emit_tables(G: FiniteGyrogroup, fmt: str = "text") -> str:
     """Render both tables plus the permutation legend as one document."""
     symbols = _symbols(G)
-    cayley_rows = [[str(int(v)) for v in row] for row in G.cayley]
-    gyr_rows = [[symbols[int(k)] for k in row] for row in G.gyr_table]
+    elements = [str(x) for x in range(G.order)]
 
     if fmt == "csv":
         lines = [f"order,{G.order}", "cayley"]
-        lines += [",".join(row) for row in cayley_rows]
+        lines += [",".join(row) for row in _label_rows(elements, G.cayley)]
         lines.append("gyration")
-        lines += [",".join(row) for row in gyr_rows]
-        for sym, p in zip(symbols, G.perms):
-            lines.append(f"perm {sym}: " + " ".join(str(v) for v in p.images))
+        lines += [",".join(row) for row in _label_rows(symbols, G.gyr_table)]
+        for sym, images in zip(symbols, G.perm_matrix.tolist()):
+            lines.append(f"perm {sym}: " + " ".join(map(str, images)))
         return "\n".join(lines) + "\n"
 
     if fmt == "text":
         lines = [f"cayley table (order {G.order})"]
-        lines += _text_grid(cayley_rows)
+        lines += _text_grid(elements, G.cayley)
         lines.append("")
         lines.append(f"gyration table (order {G.order})")
-        lines += _text_grid(gyr_rows)
+        lines += _text_grid(symbols, G.gyr_table)
         lines.append("")
         lines.append("legend:")
         for sym, p in zip(symbols, G.perms):
@@ -117,13 +115,27 @@ def _parse_int(token: str, line_no: int, col: int, limit: int) -> int:
     return value
 
 
+def _int_block(block: list[str], n: int) -> np.ndarray | None:
+    """n lines of n comma-separated entries in 0..n-1 as one numpy
+    conversion, or None when it cannot be sure of the per-token result."""
+    # numpy misreads some non-ASCII characters as digits, and skips blank lines
+    if len(block) != n or not all(line.isascii() and line.strip() for line in block):
+        return None
+    try:
+        table = np.loadtxt(block, delimiter=",", dtype=np.int64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return table if table.shape == (n, n) and 0 <= table.min() and table.max() < n else None
+
+
 def load_tables(document: str | bytes, *, strict: bool = True) -> FiniteGyrogroup:
     """Parse a CSV table document back into a gyrogroup.
 
     Strict mode additionally enforces latin rows/columns and the presence of
     an identity row (relabelled to 0 when it sits elsewhere).  Non-strict
     loading keeps whatever the file says so that `verify` can report axiom
-    witnesses against it.
+    witnesses against it.  Each block is read whole; only when that fails do
+    the per-token rules below run, to name the first bad line and field.
     """
     if isinstance(document, bytes):
         document = document.decode("utf-8")
@@ -146,29 +158,31 @@ def load_tables(document: str | bytes, *, strict: bool = True) -> FiniteGyrogrou
 
     if line_at(1).strip() != "cayley":
         raise TableFormatError("line 2: expected 'cayley' section marker")
-    cayley = np.empty((n, n), dtype=np.int64)
-    for a in range(n):
-        line_no = 2 + a
-        fields = line_at(line_no).strip().split(",")
-        if len(fields) != n:
-            raise TableFormatError(
-                f"line {line_no + 1}: expected {n} fields, got {len(fields)}"
-            )
-        for j, tok in enumerate(fields):
-            cayley[a, j] = _parse_int(tok.strip(), line_no + 1, j, n)
+    cayley = _int_block(lines[2 : 2 + n], n)
+    if cayley is None:
+        # rows are kept as lists, so a huge stated order allocates nothing
+        rows = []
+        for a in range(n):
+            line_no = 2 + a
+            tokens = line_at(line_no).strip().split(",")
+            if len(tokens) != n:
+                raise TableFormatError(
+                    f"line {line_no + 1}: expected {n} fields, got {len(tokens)}"
+                )
+            rows.append([_parse_int(t.strip(), line_no + 1, j, n) for j, t in enumerate(tokens)])
+        cayley = np.array(rows, dtype=np.int64)
 
     gyr_marker = 2 + n
     if line_at(gyr_marker).strip() != "gyration":
         raise TableFormatError(f"line {gyr_marker + 1}: expected 'gyration' section marker")
-    symbol_rows: list[list[str]] = []
+    symbol_lines: list[str] = []
     for a in range(n):
         line_no = gyr_marker + 1 + a
-        fields = [f.strip() for f in line_at(line_no).strip().split(",")]
-        if len(fields) != n:
-            raise TableFormatError(
-                f"line {line_no + 1}: expected {n} fields, got {len(fields)}"
-            )
-        symbol_rows.append(fields)
+        symbol_lines.append(line_at(line_no))
+        # stripping removes no commas, so this counts the stripped fields
+        count = symbol_lines[-1].count(",") + 1
+        if count != n:
+            raise TableFormatError(f"line {line_no + 1}: expected {n} fields, got {count}")
 
     legend: dict[str, int] = {}
     perms: list[Permutation] = []
@@ -195,9 +209,13 @@ def load_tables(document: str | bytes, *, strict: bool = True) -> FiniteGyrogrou
         legend[sym] = len(perms)
         perms.append(Permutation(values))
 
-    gyr = np.empty((n, n), dtype=np.int64)
-    for a, row in enumerate(symbol_rows):
-        for b, sym in enumerate(row):
+    # legend symbols are stripped, so a field found as it stands needs no
+    # strip; only rows with a field not found are split again
+    syms = itertools.chain.from_iterable(line.split(",") for line in symbol_lines)
+    gyr = np.fromiter(map(legend.get, syms, itertools.repeat(-1)), np.int64, n * n).reshape(n, n)
+    for a in np.flatnonzero((gyr < 0).any(axis=1)).tolist():
+        for b, field in enumerate(symbol_lines[a].strip().split(",")):
+            sym = field.strip()
             if sym not in legend:
                 raise TableFormatError(
                     f"line {gyr_marker + 2 + a}, field {b + 1}: "
@@ -217,23 +235,16 @@ def load_tables(document: str | bytes, *, strict: bool = True) -> FiniteGyrogrou
                 )
 
     # normalize the identity to element 0 when some other row acts as one
-    identity_row = None
-    target = np.arange(n)
-    for e in range(n):
-        if np.array_equal(cayley[e], target):
-            identity_row = e
-            break
-    if identity_row is None and strict:
+    identity_rows = np.flatnonzero((cayley == np.arange(n)).all(axis=1))
+    if not identity_rows.size and strict:
         raise TableFormatError("no left-identity row found")
-    if identity_row not in (None, 0):
+    if identity_rows.size and identity_rows[0] != 0:
         sigma = np.arange(n)
-        sigma[[0, identity_row]] = sigma[[identity_row, 0]]
+        sigma[[0, identity_rows[0]]] = sigma[[identity_rows[0], 0]]
         cayley = sigma[cayley[sigma[:, None], sigma[None, :]]]
         gyr = gyr[sigma[:, None], sigma[None, :]]
-        perms = [
-            Permutation(tuple(int(sigma[p(int(sigma[x]))]) for x in range(n)))
-            for p in perms
-        ]
+        images = sigma[np.array([p.images for p in perms])[:, sigma]]
+        perms = [Permutation(tuple(row)) for row in images.tolist()]
 
     return FiniteGyrogroup(cayley, gyr, perms)
 
@@ -270,25 +281,12 @@ class ReportDocument:
     gyroauto_order: int
 
     def to_json(self) -> str:
-        payload = {
-            "params": self.params,
-            "checks": self.checks,
-            "gyrocommutative": self.gyrocommutative,
-            "subgyrogroup_count": self.subgyrogroup_count,
-            "gyroauto_order": self.gyroauto_order,
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps(asdict(self), indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "ReportDocument":
         data = json.loads(text)
-        return cls(
-            params=data["params"],
-            checks=data["checks"],
-            gyrocommutative=data["gyrocommutative"],
-            subgyrogroup_count=data["subgyrogroup_count"],
-            gyroauto_order=data["gyroauto_order"],
-        )
+        return cls(**{field.name: data[field.name] for field in fields(cls)})
 
     @property
     def all_passed(self) -> bool:

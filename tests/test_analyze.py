@@ -34,6 +34,7 @@ from lattice_reference import (
     ref_closed_sets,
     ref_covers,
     ref_is_group,
+    ref_restrict,
 )
 
 
@@ -344,5 +345,39 @@ def test_degenerate_check_raises_on_disagreement(z8):
 def test_restrict_rejects_unclosed_subset(g3):
     with pytest.raises(ValueError, match="not closed"):
         restrict(g3, (0, 1))
-    with pytest.raises(ValueError, match="identity"):
-        restrict(g3, (2, 4))
+    for subset in [(2, 4), (), (0, -4), (0, 4, 8)]:
+        with pytest.raises(ValueError, match="identity 0 and lie in 0..7"):
+            restrict(g3, subset)
+
+
+def outcome(f, *args):
+    """The restricted tables, or the error message."""
+    try:
+        H = f(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return H.cayley.tolist(), H.gyr_table.tolist(), H.perms
+
+
+def test_restrict_matches_pairwise_reference():
+    # lattice nodes restrict; adding or dropping one element breaks closure
+    for n in range(3, 7):
+        G = build_cyclic_gyrogroup(n)
+        nodes = [set(node.elements) for node in enumerate_subgyrogroups(G).nodes]
+        for S in nodes:
+            mutants = [S | {x} for x in range(G.order) if x not in S]
+            mutants += [S - {x} for x in S if x != 0]
+            for subset in [S, *(T for T in mutants if T not in nodes)]:
+                assert outcome(restrict, G, subset) == outcome(ref_restrict, G, subset)
+    # random gyrations on group tables, so a gyration can leak at, before or
+    # after the pair where a sum escapes; every subset holding 0
+    rng = np.random.default_rng(7)
+    for table in (cyclic_group(8), direct_product(cyclic_group(4), cyclic_group(2))):
+        for _ in range(4):
+            pool = [Permutation(tuple(rng.permutation(8).tolist())) for _ in range(4)]
+            pool[0] = Permutation.identity(8)
+            gyr = rng.choice(4, size=(8, 8), p=[0.7, 0.1, 0.1, 0.1])
+            G = FiniteGyrogroup(table, gyr, pool)
+            for mask in range(128):
+                subset = [0] + [x for x in range(1, 8) if mask >> (x - 1) & 1]
+                assert outcome(restrict, G, subset) == outcome(ref_restrict, G, subset)

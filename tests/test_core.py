@@ -17,12 +17,15 @@ from gyrogroups import (
     check_left_gyroassociativity,
     check_left_identity,
     check_left_inverses,
+    check_left_translations,
     check_loop_property,
+    check_right_translations,
     cyclic_group,
     inverse_of,
     verify,
 )
 
+from formats_reference import ref_left_translations, ref_right_translations
 from triple_reference import ref_gyrator_witness, ref_gyroassoc_witness
 from witness_checks import witness_confirms
 
@@ -68,6 +71,37 @@ def test_constructor_deduplicates_permutations():
     G = FiniteGyrogroup([[0, 1], [1, 0]], [[0, 1], [1, 0]], (ident, Permutation((0, 1))))
     assert len(G.perms) == 1
     assert G.gyr_table.max() == 0
+
+
+def test_constructor_keeps_first_occurrences_in_order():
+    p0, p1, p2 = (Permutation(images) for images in ((0, 1, 2), (1, 2, 0), (2, 0, 1)))
+    gyr = [[0, 1, 2], [3, 4, 0], [1, 1, 1]]
+    G = FiniteGyrogroup(cyclic_group(3), gyr, (p2, p1, p2, p0, p1))
+    assert G.perms == (p2, p1, p0)
+    assert G.gyr_table.tolist() == [[0, 1, 0], [2, 1, 0], [1, 1, 1]]
+    assert G.perm_matrix.tolist() == [[2, 0, 1], [1, 2, 0], [0, 1, 2]]
+
+
+def test_left_inverse_map_is_the_smallest_left_inverse():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        G = FiniteGyrogroup(rng.integers(0, 3, size=(6, 6)))
+        expected = [min((b for b in range(6) if G.oplus(b, x) == 0), default=-1) for x in range(6)]
+        assert G.left_inverse_map().tolist() == expected
+
+
+def test_translation_witnesses_match_reference(g3):
+    # every single-entry change of the order-8 table, and random magmas
+    cases = []
+    for a, b, v in itertools.product(range(8), range(8), range(8)):
+        table = g3.cayley.copy()
+        table[a, b] = v
+        cases.append(FiniteGyrogroup.from_group(table))
+    rng = np.random.default_rng(5)
+    cases += [FiniteGyrogroup.from_group(rng.integers(0, 5, size=(5, 5))) for _ in range(100)]
+    for G in cases:
+        assert check_left_translations(G) == ref_left_translations(G)
+        assert check_right_translations(G) == ref_right_translations(G)
 
 
 def test_constructor_rejects_gyration_index_overflow():

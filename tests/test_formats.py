@@ -1,8 +1,14 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gyrogroups import (
     FiniteGyrogroup,
+    GyrogroupDataError,
+    Permutation,
     ReportDocument,
     TableFormatError,
     build_cyclic_gyrogroup,
@@ -16,6 +22,7 @@ from gyrogroups import (
     verify,
 )
 
+from formats_reference import ref_emit_tables, ref_load_tables
 from witness_checks import witness_confirms
 
 
@@ -93,6 +100,13 @@ def test_load_reports_out_of_range(g3):
 def test_load_reports_undefined_symbol(g3):
     doc = emit_tables(g3, "csv").replace("I,A,I,A,A,I,A,I", "I,B,I,A,A,I,A,I", 1)
     with pytest.raises(TableFormatError, match="'B' is not defined"):
+        load_tables(doc)
+
+
+def test_load_reports_a_huge_order_at_the_first_row():
+    # the per-token reader allocates nothing before it has read the rows
+    doc = "order,99999999999999999999\ncayley\n0,1\n"
+    with pytest.raises(TableFormatError, match="line 3: expected 99999999999999999999 fields"):
         load_tables(doc)
 
 
@@ -187,3 +201,121 @@ def test_report_document_records_failures():
     assert not doc.all_passed
     failed = [c for c in doc.checks if c["status"] == "fail"]
     assert failed and all(isinstance(c["witness"], list) for c in failed)
+
+
+# ------------------------------------------------ against the per-token code
+
+
+def load_outcome(load, doc, strict):
+    """The loaded tables and legend, or the error type and message."""
+    try:
+        G = load(doc, strict=strict)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return G.cayley.tolist(), G.gyr_table.tolist(), G.perms
+
+
+def test_emit_matches_reference_past_the_letters():
+    # 40 gyrations in the table and 4 never referenced, so symbols run on
+    # from the letters to P25..P42 and the two grids differ in width
+    rng = np.random.default_rng(3)
+    images = {tuple(rng.permutation(8).tolist()) for _ in range(60)} - {tuple(range(8))}
+    perms = [Permutation.identity(8)] + [Permutation(p) for p in sorted(images)[:43]]
+    for low in (0, 1):  # with and without the identity in the table
+        gyr = rng.permutation(np.resize(np.arange(low, low + 40), 64)).reshape(8, 8)
+        G = FiniteGyrogroup(cyclic_group(8), gyr, perms)
+        assert len(G.perms) == 44
+        for fmt in ("csv", "text"):
+            assert emit_tables(G, fmt) == ref_emit_tables(G, fmt)
+        doc = emit_tables(G, "csv")
+        assert "perm P42: " in doc
+        assert load_outcome(load_tables, doc, True) == load_outcome(ref_load_tables, doc, True)
+
+
+@pytest.mark.parametrize("token", ["Ǿ", "٣", "+3", "1_0"])
+def test_load_reads_entries_as_int_does_at_order_512(token):
+    # numpy's integer parser reads "Ǿ" as 462, a valid entry at this order;
+    # int() rejects it, and takes "٣" and "1_0" where numpy does not
+    lines = emit_tables(build_cyclic_gyrogroup(9), "csv").split("\n")
+    fields = lines[300].split(",")
+    fields[7] = token
+    lines[300] = ",".join(fields)
+    doc = "\n".join(lines)
+    expected = load_outcome(ref_load_tables, doc, False)
+    assert load_outcome(load_tables, doc, False) == expected
+    assert (expected[0] is TableFormatError) == (token == "Ǿ")
+
+
+def _base_documents():
+    # the construction, and a copy with the identity moved to row 5, which
+    # strict loading relabels back to row 0
+    G = build_cyclic_gyrogroup(3)
+    sigma = np.arange(8)
+    sigma[[0, 5]] = [5, 0]
+    moved = FiniteGyrogroup(
+        sigma[G.cayley[sigma][:, sigma]],
+        G.gyr_table[sigma][:, sigma],
+        [Permutation(tuple(sigma[G.perm_matrix[k][sigma]].tolist())) for k in range(2)],
+    )
+    return [emit_tables(G, "csv"), emit_tables(moved, "csv")]
+
+
+BASE_DOCUMENTS = _base_documents()
+TRICKY_TOKENS = [
+    "1_0", "٣", "+3", " 4 ", "", "-1", "8", "99999999999999999999", "#", "\n", "\n\n",
+    "\r", "Ǿ4", "4Ǿ", "\x0c4", "4\x1f", "\xa04", " I", "A ", "B", "I,A", "perm A", ":",
+]
+# entries that load, some with a new value; numpy can read "Ǿ" as a digit
+NUMBER_TOKENS = ["0", "7", "+0", "07", " 5", "\t3 ", "\x0c4", "٣", "Ǿ4"]
+SYMBOL_TOKENS = ["A", "I", " A", "I\t"]
+
+
+@st.composite
+def mutated_documents(draw):
+    doc = draw(st.sampled_from(BASE_DOCUMENTS))
+    mode = draw(st.sampled_from(["entry", "token", "byte"]))
+    if mode != "byte":
+        # any piece between separators, or a separator; or only entries
+        parts = re.split(r"([,\n: ])", doc)
+        entries = [i for i, part in enumerate(parts) if re.fullmatch(r"[0-9]+|[IA]", part)]
+        for _ in range(draw(st.integers(1, 3))):
+            if mode == "entry":
+                i = draw(st.sampled_from(entries))
+                tokens = NUMBER_TOKENS if parts[i].isdigit() else SYMBOL_TOKENS
+                parts[i] = draw(st.sampled_from(tokens))
+            else:
+                i = draw(st.integers(0, len(parts) - 1))
+                parts[i] = draw(st.sampled_from(TRICKY_TOKENS))
+        doc = "".join(parts)
+    else:
+        data = bytearray(doc.encode())
+        for _ in range(draw(st.integers(1, 3))):
+            i = draw(st.integers(0, len(data) - 1))
+            byte = draw(st.integers(0, 127))
+            op = draw(st.sampled_from(["replace", "insert", "delete"]))
+            if op == "replace":
+                data[i] = byte
+            elif op == "insert":
+                data.insert(i, byte)
+            else:
+                del data[i]
+        doc = bytes(data)
+    return doc
+
+
+@settings(max_examples=500, deadline=None)
+@given(mutated_documents(), st.booleans())
+def test_load_matches_reference_on_mutated_documents(doc, strict):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = load_outcome(load_tables, doc, strict)
+    expected = load_outcome(ref_load_tables, doc, strict)
+    allowed = (TableFormatError, GyrogroupDataError)
+    if isinstance(got[0], type):
+        assert got[0] in allowed, got
+    if isinstance(expected[0], type) and expected[0] not in allowed:
+        # the reference allocates the whole table for the stated order before
+        # it reads a line, which fails on a huge order
+        assert expected[0] in (ValueError, MemoryError) and got[0] is TableFormatError
+        return
+    assert got == expected

@@ -16,6 +16,10 @@ PINNED = {
         "96e3f2e6fd9950fd4e5eb605d3a0f36ff46847511b0261bef8959173e7288422",
     ("build", "--n", "5"):
         "d0fcdc3cc9b84d69ffc4d03ebeaf1f8d372dd033e7b43cd49a716d0bb93dc1e8",
+    ("build", "--n", "10", "--format", "csv"):
+        "6475e31052e3ae8ad4f5aa76915afb4062df57698176e9db5d213932841ffbdd",
+    ("build", "--n", "10"):
+        "a81035637788bc802d150e905a19bd24763c9821465a8a63b26b02b5ebe2967f",
     ("lattice", "--n", "5", "--dot"):
         "3ca548839dbf6ad7fdbc25a5e3561ce36388be8e647573d610a8d02f2edf9d15",
     ("holomorph", "--n", "4"):
@@ -48,3 +52,17 @@ def test_sampled_witnesses_are_pinned():
     assert report.check("left_gyroassociativity").witness == (5, 22, 9)
     assert report.check("gyrator_identity").witness == (5, 22, 9)
     assert report.check("gyrocommutativity").witness == (1, 16)
+
+
+def test_separately_scanned_gyrator_witness_is_pinned():
+    # a repeat in row 3 keeps every left inverse but breaks left
+    # cancellation, so the gyrator identity gets a sampled scan of its own
+    G = build_cyclic_gyrogroup(5)
+    cayley = G.cayley.copy()
+    cayley[3, 5] = cayley[3, 6]
+    report = verify(FiniteGyrogroup(cayley, G.gyr_table, G.perms), exhaustive_limit=16,
+                    sample_size=10_000)
+    assert report.sampled
+    assert report.check("left_gyroassociativity").witness == (3, 5, 30)
+    assert report.check("gyrator_identity").witness == (23, 22, 8)
+    assert report.check("gyrocommutativity").witness == (3, 5)
