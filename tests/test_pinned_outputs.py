@@ -5,10 +5,19 @@ refactor of the rules behind them must leave every digest as it is.
 """
 
 import hashlib
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from gyrogroups import FiniteGyrogroup, build_cyclic_gyrogroup, verify
+from gyrogroups import (
+    FiniteGyrogroup,
+    Permutation,
+    build_cyclic_gyrogroup,
+    cyclic_group,
+    emit_tables,
+    verify,
+)
 from gyrogroups.cli import main
 
 PINNED = {
@@ -66,3 +75,58 @@ def test_separately_scanned_gyrator_witness_is_pinned():
     assert report.check("left_gyroassociativity").witness == (3, 5, 30)
     assert report.check("gyrator_identity").witness == (23, 22, 8)
     assert report.check("gyrocommutativity").witness == (3, 5)
+
+
+def _relabelled(G, s):
+    """G conjugated by the bijection s of 0..N-1, which fixes 0."""
+    inv = np.argsort(s)
+    perms = [Permutation(tuple(row)) for row in s[G.perm_matrix[:, inv]].tolist()]
+    return FiniteGyrogroup(s[G.cayley[inv[:, None], inv]], G.gyr_table[inv[:, None], inv], perms)
+
+
+def _s8_tables():
+    # a transposition and an 8-cycle: together they generate all of S_8
+    gyr = np.zeros((8, 8), dtype=int)
+    gyr[1, 1], gyr[1, 2] = 1, 2
+    perms = [Permutation(images) for images in (
+        (0, 1, 2, 3, 4, 5, 6, 7), (1, 0, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 6, 7, 0)
+    )]
+    return FiniteGyrogroup(cyclic_group(8), gyr, perms)
+
+
+ISO_ORDER_32 = "e39b84e64e406ab4d0c30982636a2569e9830b9cb5ecc79f5e01b9d52220ff63"
+CHECK_REPORT_S8 = "ace731f83594c690c30bf359611f76c7c685eba83f9696094f13b3bb089575e0"
+EMIT_FOUR_GYRATIONS = {
+    "text": "d8d72f73330093ac75a4d559cec28dd4894401aab349d5167063b5f849d1ca35",
+    "csv": "0f5a15bbdb5972cbe65be6da01054ab0ae79f8cbda59c76eeb312aae1fbdc784",
+}
+
+
+def test_iso_stdout_is_pinned(tmp_path, monkeypatch, capsys):
+    # the order-32 construction against a fixed relabelling of itself
+    G = build_cyclic_gyrogroup(5)
+    s = np.concatenate([[0], 1 + np.random.default_rng(7).permutation(31)])
+    monkeypatch.chdir(tmp_path)
+    Path("left.csv").write_text(emit_tables(G, "csv"), encoding="utf-8")
+    Path("right.csv").write_text(emit_tables(_relabelled(G, s), "csv"), encoding="utf-8")
+    assert main(["iso", "--left", "left.csv", "--right", "right.csv"]) == 0
+    assert sha256(capsys.readouterr().out) == ISO_ORDER_32
+
+
+def test_check_report_on_s8_file_is_pinned(tmp_path, monkeypatch, capsys):
+    # the report names its source, so the file is read by a relative path
+    monkeypatch.chdir(tmp_path)
+    Path("s8.csv").write_text(emit_tables(_s8_tables(), "csv"), encoding="utf-8")
+    assert main(["check", "s8.csv", "--report", "report.json"]) == 1
+    assert sha256(Path("report.json").read_text(encoding="utf-8")) == CHECK_REPORT_S8
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_emit_with_four_gyrations_is_pinned(fmt):
+    # the identity sits third in the list and one permutation is never
+    # referenced, so the legend symbols follow first appearance
+    rows = [(1, 0, 2, 3, 4, 5, 6, 7), (0, 2, 1, 3, 4, 5, 6, 7), tuple(range(8)),
+            (1, 2, 3, 4, 5, 6, 7, 0), (0, 1, 2, 3, 5, 4, 7, 6), (7, 6, 5, 4, 3, 2, 1, 0)]
+    gyr = np.random.default_rng(11).choice([0, 1, 2, 4, 5], size=(8, 8))
+    G = FiniteGyrogroup(cyclic_group(8), gyr, [Permutation(row) for row in rows])
+    assert sha256(emit_tables(G, fmt)) == EMIT_FOUR_GYRATIONS[fmt]
