@@ -93,10 +93,7 @@ class SubgyrogroupLattice:
 
 def _gyrations_fix_pointwise(G: FiniteGyrogroup, members: frozenset[int]) -> bool:
     S = np.fromiter(members, dtype=np.int64)
-    for k in np.unique(G.gyr_table[np.ix_(S, S)]):
-        if not (G.perm_matrix[k][S] == S).all():
-            return False
-    return True
+    return bool((G.perm_matrix[np.unique(G.gyr_table[np.ix_(S, S)])][:, S] == S).all())
 
 
 def _join_pass(G: FiniteGyrogroup, pool: Sequence[int]) -> tuple[dict, dict]:
@@ -234,14 +231,14 @@ def classify_subgyrogroups(n: int) -> list[Subgyrogroup]:
     return out
 
 
-def gyroautomorphism_group(G: FiniteGyrogroup) -> tuple[Permutation, ...]:
+def gyroautomorphism_group(G: FiniteGyrogroup) -> np.ndarray:
     """The group Γ generated under composition by the distinct gyrations.
 
     Γ can be far larger than the set of gyrations (two gyrations of an
     order-8 table may generate all 40320 permutations).  It is closed from
     the identity by composing each new element with the generators only,
-    since in a finite group the monoid they generate is the group.  Identity
-    first, then by images.
+    since in a finite group the monoid they generate is the group.  Returned
+    as a read-only |Γ|×N image matrix sorted by images, identity first.
     """
     gens = G.perm_matrix[np.unique(G.gyr_table)]
     # rows are deduplicated as raw bytes, which is much cheaper than
@@ -253,7 +250,8 @@ def gyroautomorphism_group(G: FiniteGyrogroup) -> tuple[Permutation, ...]:
         first = np.sort(np.unique(rows.view(key), return_index=True)[1])
         known, frontier = rows[first], rows[first[first >= len(known)]]
     known = known[np.lexsort(known.T[::-1])]
-    return tuple(Permutation(tuple(images)) for images in known.tolist())
+    known.setflags(write=False)
+    return known
 
 
 def _row_index(sorted_rows: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -277,7 +275,7 @@ def _holomorph_table(G: FiniteGyrogroup) -> np.ndarray:
     """The gyroholomorph's Cayley table, unchecked.  The pair (x, Γ_i) is
     element x·k + i with k = |Γ|, and the table is one broadcast over
     (x, X, y, Y) through the composition table of Γ."""
-    gamma = np.array([p.images for p in gyroautomorphism_group(G)])
+    gamma = gyroautomorphism_group(G)
     k, N = gamma.shape
     # comp[i, j] is the index of Γ_i ∘ Γ_j; gyr[x, y] is the index of gyr[x, y] in Γ
     comp = _row_index(gamma, gamma[:, gamma].reshape(-1, N)).reshape(k, k)
@@ -324,12 +322,11 @@ def _action_nickname(m: int, k: int) -> str:
     return f"x->{k}x"
 
 
-def holomorph_structure_matches(
-    hol: GyroholomorphGroup, *, m: int = 8
-) -> list[tuple[str, GroupInvariants]]:
-    """Candidates Z2 x (Z_m : Z2) over every nontrivial involutive action
-    whose invariant vector equals the holomorph's.  Exactly one match is the
-    expected outcome for the order-16 construction."""
+def holomorph_structure_matches(hol: GyroholomorphGroup) -> list[tuple[str, GroupInvariants]]:
+    """Candidates Z2 x (Z_m : Z2), of order 4m = |hol|, over every nontrivial
+    involutive action whose invariant vector equals the holomorph's.  Exactly
+    one match is the expected outcome for the order-16 construction."""
+    m = hol.order // 4
     z2 = cyclic_group(2)
     matches = []
     for k in range(2, m):
@@ -345,7 +342,7 @@ def holomorph_structure_matches(
 
 
 def _element_profiles(G: FiniteGyrogroup) -> list[tuple[int, int, int]]:
-    nontrivial = np.array([not p.is_identity for p in G.perms])[G.gyr_table]
+    nontrivial = (G.perm_matrix != np.arange(G.order)).any(axis=1)[G.gyr_table]
     rows = nontrivial.sum(axis=1)
     cols = nontrivial.sum(axis=0)
     orders = element_orders(G.cayley.T)  # left powers x ⊕ x^k
@@ -424,7 +421,7 @@ def is_degenerate_group(G: FiniteGyrogroup) -> bool:
     Checks both signals, all-identity gyrations and associativity of ⊕, and
     raises when they disagree, since that marks corrupted tables.
     """
-    all_identity = all(G.perms[int(k)].is_identity for k in np.unique(G.gyr_table))
+    all_identity = bool((G.perm_matrix[np.unique(G.gyr_table)] == np.arange(G.order)).all())
     associative = check_left_gyroassociativity(FiniteGyrogroup.from_group(G.cayley)).passed
     if all_identity != associative:
         raise GyrogroupDataError(
@@ -458,10 +455,9 @@ def restrict(G: FiniteGyrogroup, elements) -> FiniteGyrogroup:
         a, b = (int(subset[i]) for i in divmod(at, k))
         if at in escapes:
             raise ValueError(f"subset not closed: {a} ⊕ {b} = {G.oplus(a, b)} escapes")
-        gyr = G.gyration(a, b)
-        e = next(e for e in subset.tolist() if pos[gyr(e)] < 0)
-        raise ValueError(f"subset not closed under gyr[{a},{b}]: {e} -> {gyr(e)}")
+        gyr = G.perm_matrix[G.gyr_index(a, b)].tolist()
+        e = next(e for e in subset.tolist() if pos[gyr[e]] < 0)
+        raise ValueError(f"subset not closed under gyr[{a},{b}]: {e} -> {gyr[e]}")
     # the sub-table numbers its gyrations by first appearance
     order = np.argsort(first)
-    sub_perms = [Permutation(tuple(row)) for row in images[order].tolist()]
-    return FiniteGyrogroup(sub_cayley, np.argsort(order)[index].reshape(k, k), sub_perms)
+    return FiniteGyrogroup(sub_cayley, np.argsort(order)[index].reshape(k, k), images[order])

@@ -96,7 +96,7 @@ def _cmd_holomorph(args: argparse.Namespace) -> int:
     hol = gyroholomorph(G)
     print(f"gyroholomorph order: {hol.order}")
     print(f"invariants: {hol.invariants.describe()}")
-    matches = holomorph_structure_matches(hol, m=G.order // 2)
+    matches = holomorph_structure_matches(hol)
     if not matches:
         print("matched structure: none of the Z2 x (Z_m : Z2) candidates")
     for name, _ in matches:
@@ -105,7 +105,7 @@ def _cmd_holomorph(args: argparse.Namespace) -> int:
 
 
 def _load_file(path: str, *, strict: bool) -> FiniteGyrogroup:
-    return load_tables(Path(path).read_text(encoding="utf-8"), strict=strict)
+    return load_tables(Path(path).read_bytes(), strict=strict)
 
 
 def _cmd_iso(args: argparse.Namespace) -> int:
@@ -191,7 +191,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TableFormatError, GyrogroupDataError, FileNotFoundError) as exc:
+    except (TableFormatError, GyrogroupDataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -177,7 +177,7 @@ def build_cyclic_gyrogroup(n: int, *, max_n: int = DEFAULT_MAX_N) -> FiniteGyrog
     """Materialize the full order-2**n gyrogroup tables.
 
     The Cayley table comes from :func:`oplus`, the gyration table from
-    :func:`gyration_selector`, and the permutation list is the identity
+    :func:`gyration_selector`, and the two image rows are the identity
     followed by the half-shift map.
     """
     if n > max_n:
@@ -187,7 +187,7 @@ def build_cyclic_gyrogroup(n: int, *, max_n: int = DEFAULT_MAX_N) -> FiniteGyrog
     p = CyclicParams(n)
     i = np.arange(p.order, dtype=np.int64)[:, None]
     j = np.arange(p.order, dtype=np.int64)[None, :]
-    perms = (Permutation.identity(p.order), half_shift_permutation(p))
+    images = (np.arange(p.order), half_shift(p, np.arange(p.order)))
     return FiniteGyrogroup(
-        oplus(p, i, j), gyration_selector(p, i, j).astype(np.uint16), perms
+        oplus(p, i, j), gyration_selector(p, i, j).astype(np.uint16), images
     )

@@ -22,7 +22,7 @@ triples and have the same smallest (or first sampled) witness.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -88,6 +88,10 @@ class Permutation:
     def __call__(self, x: int) -> int:
         return self.images[x]
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        # a list of permutations reads as the matrix of their images
+        return np.asarray(self.images, dtype=dtype)
+
     def compose(self, other: "Permutation") -> "Permutation":
         """Composition self∘other: apply `other` first, then `self`."""
         if other.degree != self.degree:
@@ -95,10 +99,7 @@ class Permutation:
         return Permutation(tuple(self.images[y] for y in other.images))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for x, image in enumerate(self.images):
-            inv[image] = x
-        return Permutation(tuple(inv))
+        return Permutation(tuple(np.argsort(self.images).tolist()))
 
     def order(self) -> int:
         power = self
@@ -110,21 +111,18 @@ class Permutation:
 
     def cycle_string(self) -> str:
         """Cycle notation with fixed points omitted, e.g. ``(1 3)(5 7)``."""
-        seen = [False] * self.degree
+        seen: set[int] = set()
         parts = []
         for start in range(self.degree):
-            if seen[start] or self.images[start] == start:
-                seen[start] = True
-                continue
-            cycle = [start]
-            seen[start] = True
-            x = self.images[start]
-            while x != start:
+            cycle = []
+            x = start
+            while x not in seen:
+                seen.add(x)
                 cycle.append(x)
-                seen[x] = True
                 x = self.images[x]
-            parts.append("(" + " ".join(str(c) for c in cycle) + ")")
-        return "".join(parts) if parts else "()"
+            if len(cycle) > 1:
+                parts.append("(" + " ".join(map(str, cycle)) + ")")
+        return "".join(parts) or "()"
 
 
 def _as_table(values, name: str) -> np.ndarray:
@@ -134,22 +132,37 @@ def _as_table(values, name: str) -> np.ndarray:
     return table
 
 
+def _image_rows(perms, n: int) -> np.ndarray:
+    """``perms``, any K×n integer array-like, checked to be bijections on 0..n-1."""
+    try:
+        images = np.asarray(perms, dtype=np.int64)
+    except ValueError:  # rows of different lengths name the first odd degree
+        degrees = [np.size(row) for row in perms if np.size(row) != n]
+        if not degrees:
+            raise
+        images = np.empty((1, degrees[0]))
+    if images.ndim != 2 or images.shape[1] != n:
+        raise GyrogroupDataError(f"permutation degree {np.size(images[0])} != order {n}")
+    bijective = (np.sort(images, axis=1) == np.arange(n)).all(axis=1)
+    if not bijective.all():
+        row = tuple(images[np.argmin(bijective)].tolist())
+        raise GyrogroupDataError(f"not a bijection on 0..{n - 1}: {row!r}")
+    return images.astype(np.int32)
+
+
 class FiniteGyrogroup:
     """A finite magma with a gyration attached to every ordered pair.
 
-    The constructor validates structure only (shape, entry ranges, valid
+    ``perms`` is a K×N integer array-like whose row k lists the images of
+    0..N-1 under permutation k; the gyration table indexes its rows.  The
+    constructor validates structure only (shape, entry ranges, valid
     permutation references); whether the tables actually satisfy the
     gyrogroup axioms is the job of :func:`verify`, so deliberately broken
     tables can be built and inspected.  Instances are immutable after
     construction and safe to share across threads.
     """
 
-    def __init__(
-        self,
-        cayley,
-        gyr_table=None,
-        perms: Sequence[Permutation] | None = None,
-    ) -> None:
+    def __init__(self, cayley, gyr_table=None, perms=None) -> None:
         table = _as_table(cayley, "cayley")
         n = table.shape[0]
         if n == 0:
@@ -161,50 +174,40 @@ class FiniteGyrogroup:
             )
 
         if gyr_table is None:
-            gyr = np.zeros((n, n), dtype=np.uint16)
-            perm_list = list(perms) if perms is not None else [Permutation.identity(n)]
-        else:
-            gyr = _as_table(gyr_table, "gyration").astype(np.int64)
-            if gyr.shape[0] != n:
-                raise GyrogroupDataError("gyration table size differs from cayley table")
-            if perms is None:
-                raise GyrogroupDataError("gyration table given without a permutation list")
-            perm_list = list(perms)
-
-        for p in perm_list:
-            if p.degree != n:
-                raise GyrogroupDataError(f"permutation degree {p.degree} != order {n}")
+            gyr_table = np.zeros((n, n), dtype=np.int64)
+            perms = np.arange(n)[None, :] if perms is None else perms
+        gyr = _as_table(gyr_table, "gyration")
+        if gyr.shape[0] != n:
+            raise GyrogroupDataError("gyration table size differs from cayley table")
+        if perms is None:
+            raise GyrogroupDataError("gyration table given without a permutation list")
+        if gyr.min() < 0 or gyr.max() >= len(perms):
+            raise GyrogroupDataError("gyration table references an undefined permutation")
+        images = _image_rows(perms, n)
 
         # Deduplicate so gyration equality is index equality; keep first
         # occurrences in order so emitted documents are stable.
-        index: dict[tuple[int, ...], int] = {}
-        index_of = [index.setdefault(p.images, len(index)) for p in perm_list]
-        index_of = np.asarray(index_of, dtype=np.int64)
-        unique = [perm_list[i] for i in np.unique(index_of, return_index=True)[1]]
-        if len(unique) > _GYRATION_LIMIT:
+        _, first, index_of = np.unique(images, axis=0, return_index=True, return_inverse=True)
+        if len(first) > _GYRATION_LIMIT:
             raise GyrogroupDataError(
-                f"{len(unique)} distinct gyrations exceed the limit of {_GYRATION_LIMIT:,}"
+                f"{len(first)} distinct gyrations exceed the limit of {_GYRATION_LIMIT:,}"
             )
-
-        if gyr_table is not None:
-            if gyr.min() < 0 or gyr.max() >= len(perm_list):
-                raise GyrogroupDataError("gyration table references an undefined permutation")
-            gyr = index_of[gyr]
+        # rank of each row's first occurrence among the first occurrences
+        gyr = np.argsort(np.argsort(first))[index_of.reshape(-1)][gyr]
 
         self._cayley = table.astype(np.int32)
         self._cayley.setflags(write=False)
         self._gyr = gyr.astype(np.uint16)
         self._gyr.setflags(write=False)
-        self._perms = tuple(unique)
-        self._perm_matrix = np.asarray([p.images for p in unique], dtype=np.int32)
+        self._perm_matrix = images[np.sort(first)]
         self._perm_matrix.setflags(write=False)
+        self._perms: tuple[Permutation, ...] | None = None
         self._inverse_map: np.ndarray | None = None
 
     @classmethod
     def from_group(cls, cayley) -> "FiniteGyrogroup":
         """Encode a plain group table as a gyrogroup with all-identity gyrations."""
-        table = _as_table(cayley, "cayley")
-        return cls(table, None, (Permutation.identity(table.shape[0]),))
+        return cls(cayley)
 
     @property
     def order(self) -> int:
@@ -220,6 +223,9 @@ class FiniteGyrogroup:
 
     @property
     def perms(self) -> tuple[Permutation, ...]:
+        """The rows of `perm_matrix` as `Permutation` objects, built on first use."""
+        if self._perms is None:
+            self._perms = tuple(Permutation(tuple(row)) for row in self._perm_matrix.tolist())
         return self._perms
 
     @property
@@ -227,14 +233,19 @@ class FiniteGyrogroup:
         """Row k holds the images of permutation k, for vectorized lookups."""
         return self._perm_matrix
 
+    def _element(self, x: int) -> int:
+        if not 0 <= x < self.order:
+            raise ValueError(f"element {x} out of range 0..{self.order - 1}")
+        return x
+
     def oplus(self, a: int, b: int) -> int:
-        return int(self._cayley[a, b])
+        return int(self._cayley[self._element(a), self._element(b)])
 
     def gyr_index(self, a: int, b: int) -> int:
-        return int(self._gyr[a, b])
+        return int(self._gyr[self._element(a), self._element(b)])
 
     def gyration(self, a: int, b: int) -> Permutation:
-        return self._perms[self.gyr_index(a, b)]
+        return self.perms[self.gyr_index(a, b)]
 
     def left_inverse_map(self) -> np.ndarray:
         """For each x the smallest b with b ⊕ x = 0, or -1 when none exists."""
@@ -247,7 +258,7 @@ class FiniteGyrogroup:
         return self._inverse_map
 
     def __repr__(self) -> str:
-        return f"FiniteGyrogroup(order={self.order}, gyrations={len(self._perms)})"
+        return f"FiniteGyrogroup(order={self.order}, gyrations={len(self._perm_matrix)})"
 
 
 def inverse_of(G: FiniteGyrogroup, x: int) -> int:
@@ -255,9 +266,7 @@ def inverse_of(G: FiniteGyrogroup, x: int) -> int:
 
     Raises ValueError when x has no left inverse in the tables.
     """
-    if not 0 <= x < G.order:
-        raise ValueError(f"element {x} out of range 0..{G.order - 1}")
-    b = int(G.left_inverse_map()[x])
+    b = int(G.left_inverse_map()[G._element(x)])
     if b < 0:
         raise ValueError(f"element {x} has no left inverse")
     return b
@@ -278,8 +287,7 @@ def _close(G: FiniteGyrogroup, seed: frozenset[int]) -> frozenset[int]:
             missing = int(S[int(np.argmax(inv_s < 0))])
             raise GyrogroupDataError(f"element {missing} has no left inverse; cannot close")
         new.update(inv_s.tolist())
-        for k in np.unique(Gy[np.ix_(S, S)]):
-            new.update(P[k][S].tolist())
+        new.update(P[np.unique(Gy[np.ix_(S, S)])][:, S].ravel().tolist())
         if new <= members:
             return frozenset(members)
         members |= new
@@ -374,9 +382,8 @@ def check_left_inverses(G: FiniteGyrogroup) -> CheckResult:
 def check_gyr_automorphisms(G: FiniteGyrogroup) -> CheckResult:
     """Every referenced gyration respects ⊕; witness (k, x, y) for perms[k]."""
     C = G.cayley
-    P = G.perm_matrix
     for k in np.unique(G.gyr_table):
-        p = P[k]
+        p = G.perm_matrix[k]
         lhs = p[C]
         rhs = C[p[:, None], p[None, :]]
         bad = _first_false(lhs == rhs)

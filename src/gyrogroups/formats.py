@@ -18,7 +18,6 @@ from .analyze import SubgyrogroupLattice
 from .core import (
     CheckResult,
     FiniteGyrogroup,
-    Permutation,
     VerificationReport,
     check_left_translations,
     check_right_translations,
@@ -46,13 +45,14 @@ class TableFormatError(ValueError):
 def _symbols(G: FiniteGyrogroup) -> list[str]:
     # letters are handed out by first appearance in the gyration table
     # (row-major); permutations never referenced come after those
+    identity = (G.perm_matrix == np.arange(G.order)).all(axis=1).tolist()
     values, first = np.unique(G.gyr_table, return_index=True)
     appearance = values[np.argsort(first)].tolist()
-    appearance += sorted(set(range(len(G.perms))).difference(appearance))
-    names = iter([*_LETTERS, *(f"P{c}" for c in range(len(_LETTERS), len(G.perms)))])
-    symbols = [""] * len(G.perms)
+    appearance += sorted(set(range(len(identity))).difference(appearance))
+    names = iter([*_LETTERS, *(f"P{c}" for c in range(len(_LETTERS), len(identity)))])
+    symbols = [""] * len(identity)
     for k in appearance:
-        symbols[k] = "I" if G.perms[k].is_identity else next(names)
+        symbols[k] = "I" if identity[k] else next(names)
     return symbols
 
 
@@ -138,7 +138,14 @@ def load_tables(document: str | bytes, *, strict: bool = True) -> FiniteGyrogrou
     the per-token rules below run, to name the first bad line and field.
     """
     if isinstance(document, bytes):
-        document = document.decode("utf-8")
+        try:
+            document = document.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            head = document[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            line = head.count(b"\n") + 1
+            raise TableFormatError(
+                f"line {line}: invalid UTF-8 byte {document[exc.start]:#04x}"
+            ) from None
     lines = document.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
     def line_at(i: int) -> str:
@@ -185,7 +192,7 @@ def load_tables(document: str | bytes, *, strict: bool = True) -> FiniteGyrogrou
             raise TableFormatError(f"line {line_no + 1}: expected {n} fields, got {count}")
 
     legend: dict[str, int] = {}
-    perms: list[Permutation] = []
+    perms: list[tuple[int, ...]] = []
     for i in range(gyr_marker + 1 + n, len(lines)):
         line = lines[i].strip()
         if not line:
@@ -207,7 +214,7 @@ def load_tables(document: str | bytes, *, strict: bool = True) -> FiniteGyrogrou
         if sorted(values) != list(range(n)):
             raise TableFormatError(f"line {i + 1}: permutation {sym!r} is not a bijection")
         legend[sym] = len(perms)
-        perms.append(Permutation(values))
+        perms.append(values)
 
     # legend symbols are stripped, so a field found as it stands needs no
     # strip; only rows with a field not found are split again
@@ -243,8 +250,7 @@ def load_tables(document: str | bytes, *, strict: bool = True) -> FiniteGyrogrou
         sigma[[0, identity_rows[0]]] = sigma[[identity_rows[0], 0]]
         cayley = sigma[cayley[sigma[:, None], sigma[None, :]]]
         gyr = gyr[sigma[:, None], sigma[None, :]]
-        images = sigma[np.array([p.images for p in perms])[:, sigma]]
-        perms = [Permutation(tuple(row)) for row in images.tolist()]
+        perms = sigma[np.array(perms)[:, sigma]]
 
     return FiniteGyrogroup(cayley, gyr, perms)
 

@@ -110,9 +110,11 @@ def test_gyroautomorphism_group_order_two():
     for n in range(3, 9):
         gamma = gyroautomorphism_group(build_cyclic_gyrogroup(n))
         assert len(gamma) == 2
-        assert gamma[0].is_identity
-        assert gamma[1] == half_shift_permutation(CyclicParams(n))
-        assert gamma[1].order() == 2
+        assert gamma[0].tolist() == list(range(2**n))
+        assert gamma[1].tolist() == list(half_shift_permutation(CyclicParams(n)).images)
+        # order 2: the half-shift is no identity, but its square is
+        assert gamma[1].tolist() != gamma[0].tolist()
+        assert gamma[1][gamma[1]].tolist() == gamma[0].tolist()
 
 
 @criterion(6, "gyroholomorph is a group of order 32 matching one structure")
@@ -140,11 +142,11 @@ def test_seeded_mutations_detected():
             if v >= cayley[a, b]:
                 v += 1  # guarantee an actual change
             cayley[a, b] = v
-            mutated = FiniteGyrogroup(cayley, G.gyr_table, G.perms)
+            mutated = FiniteGyrogroup(cayley, G.gyr_table, G.perm_matrix)
         else:
             gyr = np.array(G.gyr_table)
             gyr[a, b] ^= 1
-            mutated = FiniteGyrogroup(G.cayley, gyr, G.perms)
+            mutated = FiniteGyrogroup(G.cayley, gyr, G.perm_matrix)
         report = verify(mutated)
         assert not report.passed, f"trial {trial}: mutation at ({a},{b}) undetected"
         for result in report.failures():

@@ -6,17 +6,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 import gyrogroups
 from gyrogroups import (
     FiniteGyrogroup,
-    Permutation,
+    GyrogroupDataError,
     ReportDocument,
+    TableFormatError,
     cyclic_group,
     direct_product,
     emit_tables,
+    load_tables,
 )
 from gyrogroups.cli import main
+
+from test_formats import BASE_DOCUMENTS, mutated_documents
 
 
 def run(capsys, *argv):
@@ -146,6 +151,22 @@ def test_missing_file(capsys):
     assert code == 1 and "error" in err
 
 
+def test_check_undecodable_file_exits_one(tmp_path, capsys, g3):
+    # a byte that is not UTF-8 makes the file one that cannot be validated
+    data = emit_tables(g3, "csv").encode().replace(b"1,2,3", b"1,\xff2,3", 1)
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 1 and out == ""
+    assert err == "error: line 3: invalid UTF-8 byte 0xff\n"
+
+
+def test_check_directory_exits_one(tmp_path, capsys):
+    code, out, err = run(capsys, "check", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ")
+
+
 def test_verify_exit_matches_report(tmp_path, capsys, g3):
     # exit code 0 exactly when the JSON report is all-pass
     doc = emit_tables(g3, "csv").replace("I,A,I,A,A,I,A,I", "I,A,I,A,A,I,A,A", 1)
@@ -200,18 +221,23 @@ def test_check_gyration_overflow_exits_one(tmp_path, capsys):
     assert err == "error: 65537 distinct gyrations exceed the limit of 65,536\n"
 
 
-def test_check_report_ends_when_gyrations_generate_s8(tmp_path):
-    # a transposition and an 8-cycle generate all 40320 permutations of the
-    # order-8 carrier; a subprocess with a timeout turns a hang into a failure
+def s8_document():
+    """An order-8 CSV document whose gyrations, a transposition and an
+    8-cycle, generate all 40320 permutations of the carrier."""
     gyr = np.zeros((8, 8), dtype=int)
     gyr[1, 1], gyr[1, 2] = 1, 2
     perms = [
-        Permutation.identity(8),
-        Permutation((1, 0, 2, 3, 4, 5, 6, 7)),
-        Permutation((1, 2, 3, 4, 5, 6, 7, 0)),
+        (0, 1, 2, 3, 4, 5, 6, 7),
+        (1, 0, 2, 3, 4, 5, 6, 7),
+        (1, 2, 3, 4, 5, 6, 7, 0),
     ]
+    return emit_tables(FiniteGyrogroup(cyclic_group(8), gyr, perms), "csv")
+
+
+def test_check_report_ends_when_gyrations_generate_s8(tmp_path):
+    # a subprocess with a timeout turns a hang into a failure
     path = tmp_path / "s8.csv"
-    path.write_text(emit_tables(FiniteGyrogroup(cyclic_group(8), gyr, perms), "csv"))
+    path.write_text(s8_document())
     report_path = tmp_path / "report.json"
     src = str(Path(gyrogroups.__file__).parents[1])
     path_list = [src, os.environ.get("PYTHONPATH")]
@@ -222,3 +248,28 @@ def test_check_report_ends_when_gyrations_generate_s8(tmp_path):
     )
     assert done.returncode == 1
     assert ReportDocument.from_json(report_path.read_text()).gyroauto_order == 40320
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=mutated_documents([*BASE_DOCUMENTS, s8_document()], top_byte=255))
+def test_check_report_on_mutated_files(tmp_path, capsys, doc):
+    # order-8 files, so Γ has at most 8! elements and every report ends
+    # quickly; the command validates or rejects each file, and writes a report
+    # it can read back whenever the file loads
+    data = doc.encode() if isinstance(doc, str) else doc
+    path = tmp_path / "tables.csv"
+    report = tmp_path / "report.json"
+    path.write_bytes(data)
+    report.unlink(missing_ok=True)
+    try:
+        load_tables(data, strict=False)
+        loads = True
+    except (TableFormatError, GyrogroupDataError):
+        loads = False
+    code, _, err = run(capsys, "check", str(path), "--report", str(report))
+    assert code in (0, 1)
+    if loads:
+        ReportDocument.from_json(report.read_text(encoding="utf-8"))
+    else:
+        assert err.startswith("error: ") and not report.exists()

@@ -1,5 +1,6 @@
 import itertools
 import os
+import re
 
 import numpy as np
 import pytest
@@ -61,23 +62,22 @@ def test_constructor_rejects_bad_tables():
     with pytest.raises(GyrogroupDataError, match="without a permutation"):
         FiniteGyrogroup([[0, 1], [1, 0]], [[0, 0], [0, 0]])
     with pytest.raises(GyrogroupDataError, match="degree"):
-        FiniteGyrogroup([[0, 1], [1, 0]], [[0, 0], [0, 0]], (Permutation((0,)),))
+        FiniteGyrogroup([[0, 1], [1, 0]], [[0, 0], [0, 0]], ((0,),))
     with pytest.raises(GyrogroupDataError, match="undefined permutation"):
-        FiniteGyrogroup([[0, 1], [1, 0]], [[0, 1], [0, 0]], (Permutation.identity(2),))
+        FiniteGyrogroup([[0, 1], [1, 0]], [[0, 1], [0, 0]], ((0, 1),))
 
 
 def test_constructor_deduplicates_permutations():
-    ident = Permutation.identity(2)
-    G = FiniteGyrogroup([[0, 1], [1, 0]], [[0, 1], [1, 0]], (ident, Permutation((0, 1))))
-    assert len(G.perms) == 1
+    G = FiniteGyrogroup([[0, 1], [1, 0]], [[0, 1], [1, 0]], ((0, 1), (0, 1)))
+    assert len(G.perm_matrix) == 1
     assert G.gyr_table.max() == 0
 
 
 def test_constructor_keeps_first_occurrences_in_order():
-    p0, p1, p2 = (Permutation(images) for images in ((0, 1, 2), (1, 2, 0), (2, 0, 1)))
+    p0, p1, p2 = (0, 1, 2), (1, 2, 0), (2, 0, 1)
     gyr = [[0, 1, 2], [3, 4, 0], [1, 1, 1]]
     G = FiniteGyrogroup(cyclic_group(3), gyr, (p2, p1, p2, p0, p1))
-    assert G.perms == (p2, p1, p0)
+    assert G.perms == (Permutation(p2), Permutation(p1), Permutation(p0))
     assert G.gyr_table.tolist() == [[0, 1, 0], [2, 1, 0], [1, 1, 1]]
     assert G.perm_matrix.tolist() == [[2, 0, 1], [1, 2, 0], [0, 1, 2]]
 
@@ -107,14 +107,14 @@ def test_translation_witnesses_match_reference(g3):
 def test_constructor_rejects_gyration_index_overflow():
     # gyration indices are stored as uint16; the 65,537th distinct
     # permutation used to wrap around to permutation 0
-    perms = [Permutation(p) for p in itertools.islice(itertools.permutations(range(9)), 65537)]
+    perms = list(itertools.islice(itertools.permutations(range(9)), 65537))
     gyr = np.zeros((9, 9), dtype=int)
     gyr[1, 1] = 65536
     with pytest.raises(GyrogroupDataError, match="65537 distinct gyrations exceed the limit of 65,536"):
         FiniteGyrogroup(cyclic_group(9), gyr, perms)
     gyr[1, 1] = 65535
     G = FiniteGyrogroup(cyclic_group(9), gyr, perms[:65536])
-    assert G.gyration(1, 1) == perms[65535]
+    assert G.gyration(1, 1) == Permutation(perms[65535])
 
 
 def test_tables_are_immutable(g3):
@@ -156,10 +156,10 @@ def test_gyr_automorphisms(g3):
     assert check_gyr_automorphisms(g3).passed
     assert check_gyr_automorphisms(FiniteGyrogroup.from_group(cyclic_group(8))).passed
     # a transposition moving the identity is never an automorphism here
-    swap = Permutation((1, 0, 2, 3, 4, 5, 6, 7))
+    swap = (1, 0, 2, 3, 4, 5, 6, 7)
     gyr = np.zeros((8, 8), dtype=int)
     gyr[0, 0] = 1
-    tainted = FiniteGyrogroup(g3.cayley, gyr, (Permutation.identity(8), swap))
+    tainted = FiniteGyrogroup(g3.cayley, gyr, (tuple(range(8)), swap))
     result = check_gyr_automorphisms(tainted)
     assert not result.passed
     assert result.witness[0] == 1
@@ -181,7 +181,7 @@ def test_loop_property(g3, z8):
     assert check_loop_property(z8).passed
     flipped = np.array(g3.gyr_table)
     flipped[1, 4] ^= 1
-    broken = FiniteGyrogroup(g3.cayley, flipped, g3.perms)
+    broken = FiniteGyrogroup(g3.cayley, flipped, g3.perm_matrix)
     result = check_loop_property(broken)
     assert not result.passed
     assert witness_confirms(broken, result)
@@ -192,7 +192,7 @@ def test_gyrator_identity(g3, g4, z8):
     assert check_gyrator_identity(z8).passed
     flipped = np.array(g3.gyr_table)
     flipped[1, 4] = 0
-    broken = FiniteGyrogroup(g3.cayley, flipped, g3.perms)
+    broken = FiniteGyrogroup(g3.cayley, flipped, g3.perm_matrix)
     result = check_gyrator_identity(broken)
     assert not result.passed
     assert result.witness[:2] == (1, 4)
@@ -213,7 +213,7 @@ def _cayley_mutations(n):
             if v != G.cayley[a, b]:
                 cayley = np.array(G.cayley)
                 cayley[a, b] = v
-                yield FiniteGyrogroup(cayley, G.gyr_table, G.perms)
+                yield FiniteGyrogroup(cayley, G.gyr_table, G.perm_matrix)
 
 
 def _gyration_flips(n):
@@ -221,14 +221,14 @@ def _gyration_flips(n):
     for a, b in np.ndindex(G.order, G.order):
         gyr = np.array(G.gyr_table)
         gyr[a, b] ^= 1
-        yield FiniteGyrogroup(G.cayley, gyr, G.perms)
+        yield FiniteGyrogroup(G.cayley, gyr, G.perm_matrix)
 
 
 def _random_gyrations(seed):
     # each row refers to at least three distinct gyrations, in no order
     rng = np.random.default_rng(seed)
     G = build_cyclic_gyrogroup(4)
-    perms = [Permutation(tuple(int(v) for v in rng.permutation(16))) for _ in range(5)]
+    perms = [rng.permutation(16) for _ in range(5)]
     gyr = rng.integers(0, 5, size=(16, 16))
     assert min(len(set(row)) for row in gyr.tolist()) >= 3
     return FiniteGyrogroup(G.cayley, gyr, perms)
@@ -329,7 +329,7 @@ def test_verify_flipped_gyration_at_order_512():
     G = build_cyclic_gyrogroup(9)
     gyr = np.array(G.gyr_table)
     gyr[511, 0] ^= 1
-    report = verify(FiniteGyrogroup(G.cayley, gyr, G.perms))
+    report = verify(FiniteGyrogroup(G.cayley, gyr, G.perm_matrix))
     assert {c.name: c.witness for c in report.failures()} == {
         "left_gyroassociativity": (511, 0, 1),
         "gyrator_identity": (511, 0, 1),
@@ -355,7 +355,7 @@ def test_sampled_scan_stops_once_no_witness_can_follow(monkeypatch):
     G = build_cyclic_gyrogroup(5)
     cayley = G.cayley.copy()
     cayley[:, 3] = 3
-    broken = FiniteGyrogroup(cayley, G.gyr_table, G.perms)
+    broken = FiniteGyrogroup(cayley, G.gyr_table, G.perm_matrix)
     chunks = []
     default_rng = np.random.default_rng
 
@@ -399,3 +399,25 @@ def test_right_loop_property_is_a_consequence(g3, g4, z8, dih8):
 def test_gyrator_identity_holds_whenever_axioms_do(g3, g4, z8, z4xz2, dih8):
     for G in (g3, g4, z8, z4xz2, dih8):
         assert check_gyrator_identity(G).passed
+
+
+def test_scalar_lookups_reject_elements_out_of_range(g3):
+    # a negative index used to read the last row or column silently
+    for lookup in (g3.oplus, g3.gyr_index, g3.gyration):
+        for a, b, bad in ((-1, 0, -1), (0, -1, -1), (8, 0, 8), (3, 8, 8)):
+            with pytest.raises(ValueError, match=re.escape(f"element {bad} out of range 0..7")):
+                lookup(a, b)
+
+
+def test_constructor_checks_image_rows_in_one_pass():
+    z2, gyr = [[0, 1], [1, 0]], [[0, 0], [0, 0]]
+    with pytest.raises(GyrogroupDataError, match=re.escape("permutation degree 1 != order 2")):
+        FiniteGyrogroup(z2, gyr, [(0, 1), (0,)])
+    with pytest.raises(GyrogroupDataError, match=re.escape("not a bijection on 0..1: (1, 1)")):
+        FiniteGyrogroup(z2, gyr, [(0, 1), (1, 1)])
+    with pytest.raises(GyrogroupDataError, match="undefined permutation"):
+        FiniteGyrogroup(z2, gyr, [])
+    # a Permutation is an array-like of its images, and perms is built once
+    G = FiniteGyrogroup(z2, [[0, 1], [1, 0]], [Permutation((1, 0)), np.arange(2)])
+    assert G.perm_matrix.tolist() == [[1, 0], [0, 1]]
+    assert G.perms is G.perms and G.gyration(0, 1) is G.perms[1]

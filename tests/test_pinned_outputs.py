@@ -20,6 +20,9 @@ from gyrogroups import (
 )
 from gyrogroups.cli import main
 
+from test_analyze import relabel
+from test_cli import s8_document
+
 PINNED = {
     ("build", "--n", "5", "--format", "csv"):
         "96e3f2e6fd9950fd4e5eb605d3a0f36ff46847511b0261bef8959173e7288422",
@@ -31,8 +34,16 @@ PINNED = {
         "a81035637788bc802d150e905a19bd24763c9821465a8a63b26b02b5ebe2967f",
     ("lattice", "--n", "5", "--dot"):
         "3ca548839dbf6ad7fdbc25a5e3561ce36388be8e647573d610a8d02f2edf9d15",
+    ("holomorph", "--n", "3"):
+        "3b2ca2d8eff508dffde345a5c51cc47700125c55036ba620b2d33963233e1818",
     ("holomorph", "--n", "4"):
         "3cd74f780e2f4cff55dfa3fadb10e12690e37b0ae712a9af8817ea2646a61f68",
+    ("holomorph", "--n", "5"):
+        "31b3300bb48c01396068c27a37855dc23a2e2e94808c8bb1ae4e84059ad22dfb",
+    ("holomorph", "--n", "6"):
+        "9c175d9e4bc60326cd70fd94cec07e09bfa6293012faa6ae0dd97040874ec57e",
+    ("holomorph", "--n", "7"):
+        "df990bd9330d25dd5383155ddd47bbd9c635c5b9a6ce60c48ab6af771621e8de",
 }
 VERIFY_REPORT_N5 = "382d9105b7feb132cece39d66d71f5a6199ee46b25b92df9e9cae0b895170830"
 
@@ -69,29 +80,12 @@ def test_separately_scanned_gyrator_witness_is_pinned():
     G = build_cyclic_gyrogroup(5)
     cayley = G.cayley.copy()
     cayley[3, 5] = cayley[3, 6]
-    report = verify(FiniteGyrogroup(cayley, G.gyr_table, G.perms), exhaustive_limit=16,
+    report = verify(FiniteGyrogroup(cayley, G.gyr_table, G.perm_matrix), exhaustive_limit=16,
                     sample_size=10_000)
     assert report.sampled
     assert report.check("left_gyroassociativity").witness == (3, 5, 30)
     assert report.check("gyrator_identity").witness == (23, 22, 8)
     assert report.check("gyrocommutativity").witness == (3, 5)
-
-
-def _relabelled(G, s):
-    """G conjugated by the bijection s of 0..N-1, which fixes 0."""
-    inv = np.argsort(s)
-    perms = [Permutation(tuple(row)) for row in s[G.perm_matrix[:, inv]].tolist()]
-    return FiniteGyrogroup(s[G.cayley[inv[:, None], inv]], G.gyr_table[inv[:, None], inv], perms)
-
-
-def _s8_tables():
-    # a transposition and an 8-cycle: together they generate all of S_8
-    gyr = np.zeros((8, 8), dtype=int)
-    gyr[1, 1], gyr[1, 2] = 1, 2
-    perms = [Permutation(images) for images in (
-        (0, 1, 2, 3, 4, 5, 6, 7), (1, 0, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 6, 7, 0)
-    )]
-    return FiniteGyrogroup(cyclic_group(8), gyr, perms)
 
 
 ISO_ORDER_32 = "e39b84e64e406ab4d0c30982636a2569e9830b9cb5ecc79f5e01b9d52220ff63"
@@ -105,10 +99,10 @@ EMIT_FOUR_GYRATIONS = {
 def test_iso_stdout_is_pinned(tmp_path, monkeypatch, capsys):
     # the order-32 construction against a fixed relabelling of itself
     G = build_cyclic_gyrogroup(5)
-    s = np.concatenate([[0], 1 + np.random.default_rng(7).permutation(31)])
+    sigma = Permutation((0, *(1 + np.random.default_rng(7).permutation(31)).tolist()))
     monkeypatch.chdir(tmp_path)
     Path("left.csv").write_text(emit_tables(G, "csv"), encoding="utf-8")
-    Path("right.csv").write_text(emit_tables(_relabelled(G, s), "csv"), encoding="utf-8")
+    Path("right.csv").write_text(emit_tables(relabel(G, sigma), "csv"), encoding="utf-8")
     assert main(["iso", "--left", "left.csv", "--right", "right.csv"]) == 0
     assert sha256(capsys.readouterr().out) == ISO_ORDER_32
 
@@ -116,7 +110,7 @@ def test_iso_stdout_is_pinned(tmp_path, monkeypatch, capsys):
 def test_check_report_on_s8_file_is_pinned(tmp_path, monkeypatch, capsys):
     # the report names its source, so the file is read by a relative path
     monkeypatch.chdir(tmp_path)
-    Path("s8.csv").write_text(emit_tables(_s8_tables(), "csv"), encoding="utf-8")
+    Path("s8.csv").write_text(s8_document(), encoding="utf-8")
     assert main(["check", "s8.csv", "--report", "report.json"]) == 1
     assert sha256(Path("report.json").read_text(encoding="utf-8")) == CHECK_REPORT_S8
 
@@ -128,5 +122,5 @@ def test_emit_with_four_gyrations_is_pinned(fmt):
     rows = [(1, 0, 2, 3, 4, 5, 6, 7), (0, 2, 1, 3, 4, 5, 6, 7), tuple(range(8)),
             (1, 2, 3, 4, 5, 6, 7, 0), (0, 1, 2, 3, 5, 4, 7, 6), (7, 6, 5, 4, 3, 2, 1, 0)]
     gyr = np.random.default_rng(11).choice([0, 1, 2, 4, 5], size=(8, 8))
-    G = FiniteGyrogroup(cyclic_group(8), gyr, [Permutation(row) for row in rows])
+    G = FiniteGyrogroup(cyclic_group(8), gyr, rows)
     assert sha256(emit_tables(G, fmt)) == EMIT_FOUR_GYRATIONS[fmt]

@@ -108,7 +108,7 @@ def test_single_cayley_mutation_is_detected(mutation):
     if cayley[a, b] == v:
         v = (v + 1) % 8
     cayley[a, b] = v
-    mutated = FiniteGyrogroup(cayley, G.gyr_table, G.perms)
+    mutated = FiniteGyrogroup(cayley, G.gyr_table, G.perm_matrix)
     report = verify(mutated)
     assert not report.passed
     for result in report.failures():
@@ -121,7 +121,7 @@ def test_single_gyration_flip_is_detected(a, b):
     G = build_cyclic_gyrogroup(3)
     gyr = np.array(G.gyr_table)
     gyr[a, b] ^= 1
-    mutated = FiniteGyrogroup(G.cayley, gyr, G.perms)
+    mutated = FiniteGyrogroup(G.cayley, gyr, G.perm_matrix)
     report = verify(mutated)
     assert not report.passed
     for result in report.failures():
