@@ -12,6 +12,7 @@ construction and provides the independent cross-check.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,6 +24,7 @@ from .core import (
     GyrogroupDataError,
     Permutation,
     _close,
+    _row_keys,
     check_left_gyroassociativity,
 )
 from .groups import (
@@ -93,7 +95,11 @@ class SubgyrogroupLattice:
 
 def _gyrations_fix_pointwise(G: FiniteGyrogroup, members: frozenset[int]) -> bool:
     S = np.fromiter(members, dtype=np.int64)
-    return bool((G.perm_matrix[np.unique(G.gyr_table[np.ix_(S, S)])][:, S] == S).all())
+    return bool((G.perm_matrix[np.unique(G.gyr_table[S[:, None], S])][:, S] == S).all())
+
+
+def _is_prime(q: int) -> bool:
+    return q > 1 and all(q % d for d in range(2, math.isqrt(q) + 1))
 
 
 def _join_pass(G: FiniteGyrogroup, pool: Sequence[int]) -> tuple[dict, dict]:
@@ -102,14 +108,18 @@ def _join_pass(G: FiniteGyrogroup, pool: Sequence[int]) -> tuple[dict, dict]:
     Closed sets T are taken smallest first, in (size, sorted elements) order,
     and joined with close({x}) for each x in ``pool`` outside T, once per
     distinct cyclic subgyrogroup, at its smallest x; that join is
-    close(T ∪ {x}).  Returns each set's canonical generators (empty for the
-    bottom) and, keyed in that order, the sets its joins reach.
+    close(T ∪ {x}).  When |S|/|T| is prime for a join S, Lagrange's theorem
+    leaves no closed set strictly between T and S, so every y in S ∖ T
+    joins T to S too, and is skipped.  Returns each set's canonical
+    generators (empty for the bottom) and, keyed in that order, the sets its
+    joins reach.
 
     gen(S) is the (size, lex) minimum of sorted(gen(T) + (x,)) over the joins
     that reach S.  Dropping an element x from the minimal tuple of S leaves
     the minimal tuple of its closure T, since inserting x keeps lex order;
     and x is the smallest of its cyclic class outside T, or a smaller one
-    would give a smaller tuple.
+    would give a smaller tuple.  A skipped y comes after x in ``pool``,
+    which is increasing, so its label is never smaller.
     """
     bottom = _close(G, frozenset())
     cyclic = {x: _close(G, frozenset((x,))) for x in pool}
@@ -119,10 +129,15 @@ def _join_pass(G: FiniteGyrogroup, pool: Sequence[int]) -> tuple[dict, dict]:
     while heap:
         T = heapq.heappop(heap)[2]
         joins: dict[frozenset[int], frozenset[int]] = {}
+        done = set(T)
         for x in pool:
-            if x in T or cyclic[x] in joins:
+            if x in done or cyclic[x] in joins:
                 continue
             S = joins[cyclic[x]] = _close(G, T | cyclic[x])
+            if _is_prime(len(S) // len(T)):
+                # Lagrange: no subgyrogroup lies strictly between T and S,
+                # so close(T ∪ {y}) = S for every y in S ∖ T
+                done |= S
             label = tuple(sorted(gens[T] + (x,)))
             if S not in gens:
                 heapq.heappush(heap, (len(S), tuple(sorted(S)), S))
@@ -145,7 +160,8 @@ def _subgyrogroup(
 
 
 def closure(G: FiniteGyrogroup, gens) -> Subgyrogroup:
-    """Close a generator set and package it with canonical generators."""
+    """Close a generator set and package it with canonical generators, which
+    like `enumerate_subgyrogroups` need ``G`` to be a verified gyrogroup."""
     gens = frozenset(int(g) for g in gens)
     for g in gens:
         if not 0 <= g < G.order:
@@ -159,6 +175,9 @@ def enumerate_subgyrogroups(G: FiniteGyrogroup) -> SubgyrogroupLattice:
 
     The upper covers of each T are the minimal sets among its joins
     close(T ∪ {x}): a cover S of T is close(T ∪ {x}) for every x in S ∖ T.
+    ``G`` must be a verified gyrogroup: joins are pruned by Lagrange's
+    theorem for finite gyrogroups, and on tables that fail the axioms the
+    lattice may be incomplete.
     """
     gens, reached = _join_pass(G, range(G.order))
     index = {S: i for i, S in enumerate(reached)}
@@ -241,13 +260,11 @@ def gyroautomorphism_group(G: FiniteGyrogroup) -> np.ndarray:
     as a read-only |Γ|×N image matrix sorted by images, identity first.
     """
     gens = G.perm_matrix[np.unique(G.gyr_table)]
-    # rows are deduplicated as raw bytes, which is much cheaper than
-    # np.unique(axis=0); one lexsort at the end orders them by images
-    key = np.dtype((np.void, gens.dtype.itemsize * G.order))
+    # raw-bytes keys do not sort by images; one lexsort at the end does
     known = frontier = np.arange(G.order, dtype=gens.dtype)[None, :]
     while len(frontier):
         rows = np.concatenate([known, frontier[:, gens].reshape(-1, G.order)])
-        first = np.sort(np.unique(rows.view(key), return_index=True)[1])
+        first = np.sort(np.unique(_row_keys(rows), return_index=True)[1])
         known, frontier = rows[first], rows[first[first >= len(known)]]
     known = known[np.lexsort(known.T[::-1])]
     known.setflags(write=False)

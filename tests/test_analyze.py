@@ -20,6 +20,7 @@ from gyrogroups import (
     restrict,
     verify,
 )
+from gyrogroups import analyze
 from gyrogroups.analyze import _element_profiles, _holomorph_table
 from gyrogroups.construct import CyclicParams
 
@@ -146,6 +147,24 @@ def test_z2_power_lattice_is_the_subspace_lattice():
     covers = sum(gaussian_binomial(4, k) * (2 ** (4 - k) - 1) for k in range(4))
     assert (nodes, covers) == (67, 240)
     assert (len(lattice.nodes), len(lattice.covers)) == (nodes, covers)
+
+
+def test_prime_index_joins_are_not_closed_again(monkeypatch):
+    # every join in Z2^5 doubles a subspace, so once T ∪ {x} closes to S the
+    # other y in S ∖ T are skipped: one closure for the bottom, one per
+    # element for its cyclic subgyrogroup, and one per cover
+    G = z2_power(5)
+    cyclic = {analyze._close(G, frozenset((x,))) for x in range(G.order)}
+    calls = []
+
+    def counting(G, seed, close=analyze._close):
+        calls.append(seed)
+        return close(G, seed)
+
+    monkeypatch.setattr(analyze, "_close", counting)
+    lattice = enumerate_subgyrogroups(G)
+    assert len(cyclic) == G.order
+    assert len(calls) == len(lattice.covers) + len(cyclic) + 1 == 2077 + 32 + 1
 
 
 # ------------------------------------------------------------- classification

@@ -178,7 +178,6 @@ def test_verify_exit_matches_report(tmp_path, capsys, g3):
     assert not ReportDocument.from_json(report_path.read_text()).all_passed
 
 
-@pytest.mark.skipif(not os.environ.get("GYRO_SLOW"), reason="set GYRO_SLOW=1 to run")
 def test_check_report_counts_z2e6_lattice(tmp_path, capsys):
     # the subgyrogroups of Z2^6 are the 2825 subspaces of GF(2)^6:
     # 1 + 63 + 651 + 1395 + 651 + 63 + 1
