@@ -122,7 +122,12 @@ def _join_pass(G: FiniteGyrogroup, pool: Sequence[int]) -> tuple[dict, dict]:
     which is increasing, so its label is never smaller.
     """
     bottom = _close(G, frozenset())
-    cyclic = {x: _close(G, frozenset((x,))) for x in pool}
+    inv = G.left_inverse_map()
+    cyclic: dict[int, frozenset[int]] = {}
+    for x in pool:
+        if x not in cyclic:
+            # ⊖x ∈ close({x}) and ⊖(⊖x) = x, so close({⊖x}) = close({x})
+            cyclic[x] = cyclic[int(inv[x])] = _close(G, frozenset((x,)))
     gens: dict[frozenset[int], tuple[int, ...]] = {bottom: ()}
     reached: dict[frozenset[int], set[frozenset[int]]] = {}
     heap = [(len(bottom), tuple(sorted(bottom)), bottom)]
@@ -260,15 +265,22 @@ def gyroautomorphism_group(G: FiniteGyrogroup) -> np.ndarray:
     as a read-only |Γ|×N image matrix sorted by images, identity first.
     """
     gens = G.perm_matrix[np.unique(G.gyr_table)]
-    # raw-bytes keys do not sort by images; one lexsort at the end does
-    known = frontier = np.arange(G.order, dtype=gens.dtype)[None, :]
+    frontier = np.arange(G.order, dtype=gens.dtype)[None, :]
+    # Γ so far as sorted raw-bytes keys, which each round's new products are
+    # searched in and inserted into without sorting the known rows again
+    known = _row_keys(frontier)
     while len(frontier):
-        rows = np.concatenate([known, frontier[:, gens].reshape(-1, G.order)])
-        first = np.sort(np.unique(_row_keys(rows), return_index=True)[1])
-        known, frontier = rows[first], rows[first[first >= len(known)]]
-    known = known[np.lexsort(known.T[::-1])]
-    known.setflags(write=False)
-    return known
+        products = frontier[:, gens].reshape(-1, G.order)
+        keys, first = np.unique(_row_keys(products), return_index=True)
+        at = np.searchsorted(known, keys)
+        new = known[np.minimum(at, len(known) - 1)] != keys
+        known = np.insert(known, at[new], keys[new])
+        frontier = products[first[new]]
+    # raw-bytes keys do not sort by images; one lexsort does
+    gamma = known.view(gens.dtype).reshape(-1, G.order)
+    gamma = gamma[np.lexsort(gamma.T[::-1])]
+    gamma.setflags(write=False)
+    return gamma
 
 
 def _row_index(sorted_rows: np.ndarray, rows: np.ndarray) -> np.ndarray:

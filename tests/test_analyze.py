@@ -151,8 +151,8 @@ def test_z2_power_lattice_is_the_subspace_lattice():
 
 def test_prime_index_joins_are_not_closed_again(monkeypatch):
     # every join in Z2^5 doubles a subspace, so once T ∪ {x} closes to S the
-    # other y in S ∖ T are skipped: one closure for the bottom, one per
-    # element for its cyclic subgyrogroup, and one per cover
+    # other y in S ∖ T are skipped: one closure for the bottom, one per pair
+    # {x, ⊖x} for its cyclic subgyrogroup (here every x is ⊖x), and one per cover
     G = z2_power(5)
     cyclic = {analyze._close(G, frozenset((x,))) for x in range(G.order)}
     calls = []
@@ -165,6 +165,25 @@ def test_prime_index_joins_are_not_closed_again(monkeypatch):
     lattice = enumerate_subgyrogroups(G)
     assert len(cyclic) == G.order
     assert len(calls) == len(lattice.covers) + len(cyclic) + 1 == 2077 + 32 + 1
+
+
+def test_cyclic_closures_are_shared_by_inverse_pairs(monkeypatch):
+    # close({⊖x}) = close({x}), so the lattice at n=8 closes one cyclic
+    # subgyrogroup per pair {x, ⊖x}, 130 of them, where it closed all 256
+    G = build_cyclic_gyrogroup(8)
+    inv = G.left_inverse_map()
+    calls = []
+
+    def counting(G, seed, close=analyze._close):
+        calls.append(seed)
+        return close(G, seed)
+
+    monkeypatch.setattr(analyze, "_close", counting)
+    lattice = enumerate_subgyrogroups(G)
+    pairs = {frozenset((x, int(inv[x]))) for x in range(G.order)}
+    assert len([seed for seed in calls if len(seed) == 1]) == len(pairs) == 130
+    assert len(calls) == 293
+    assert len(lattice.nodes) == 3 * 8 - 1
 
 
 # ------------------------------------------------------------- classification

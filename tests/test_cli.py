@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -247,6 +248,21 @@ def test_check_report_ends_when_gyrations_generate_s8(tmp_path):
     )
     assert done.returncode == 1
     assert ReportDocument.from_json(report_path.read_text()).gyroauto_order == 40320
+
+
+def test_cli_import_loads_no_pool_modules():
+    # the threaded triple scans use threading alone, so no command pays for
+    # importing a pool module at startup
+    src = str(Path(gyrogroups.__file__).parents[1])
+    path_list = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_list)))
+    probe = "import json, sys, gyrogroups.cli; print(json.dumps(sorted(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = set(json.loads(done.stdout))
+    assert "threading" in loaded
+    assert not loaded & {"concurrent.futures", "multiprocessing"}
 
 
 @settings(max_examples=200, deadline=None,

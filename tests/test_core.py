@@ -1,6 +1,9 @@
+import functools
 import itertools
 import os
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -272,6 +275,131 @@ def test_verify_scans_the_triples_once_with_left_cancellation(monkeypatch):
     G = build_cyclic_gyrogroup(5)
     assert verify(G).passed
     assert sum(counted) == G.order**3
+
+
+# ------------------------------------------------------ threaded triple scans
+
+
+def _planted(n, cells):
+    """The order-2^n construction with gyr[a,b] swapping its images of c and
+    N-1 for each (a, b, c) in ``cells``, so left gyroassociativity fails at
+    (a, b, c) and (a, b, N-1) and nowhere else."""
+    G = build_cyclic_gyrogroup(n)
+    N = G.order
+    gyr = np.array(G.gyr_table, dtype=np.int64)
+    perms = list(G.perm_matrix)
+    for a, b, c in cells:
+        p = G.perm_matrix[gyr[a, b]].copy()
+        p[[c, N - 1]] = p[[N - 1, c]]
+        gyr[a, b] = len(perms)
+        perms.append(p)
+    return FiniteGyrogroup(G.cayley, gyr, perms)
+
+
+@pytest.fixture(params=[2, 8], ids=["2 cpus", "8 cpus"])
+def scan_threads(request, monkeypatch):
+    """The CPUs the scans see, and the threads they start.  With 8, an
+    order-512 scan runs three workers, which switch as often as they can."""
+    cpus = request.param
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    started = []
+
+    class CountingThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", CountingThread)
+    interval = sys.getswitchinterval()
+    if cpus > 2:
+        sys.setswitchinterval(1e-6)
+    try:
+        yield started
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(not thread.is_alive() for thread in started)
+
+
+# (a, b, c) cells for order 512, where 2 cpus cut the b's at 256, and 8 cpus,
+# three workers of at least 144 b's, at 170 and 341
+PLANTED = {
+    "row 0": [(0, 5, 7)],
+    "row N-1": [(511, 300, 3)],
+    "far-apart rows": [(201, 3, 0), (17, 500, 9)],
+    "smaller b wins whatever its c": [(40, 100, 510), (40, 200, 0), (40, 400, 1)],
+    "row a's later b-range beats row a+1": [(90, 500, 4), (91, 0, 0)],
+}
+
+
+@functools.cache
+def _planted_case(case):
+    G = _planted(9, PLANTED[case])
+    return G, ref_gyroassoc_witness(G)
+
+
+@pytest.mark.parametrize("case", list(PLANTED))
+def test_threaded_scan_finds_smallest_witness(case, scan_threads):
+    G, reference = _planted_case(case)
+    result = check_left_gyroassociativity(G)
+    assert result.witness == min(PLANTED[case]) == reference
+    assert witness_confirms(G, result)
+    assert check_gyrator_identity(G).witness == result.witness
+    assert len(scan_threads) >= 1
+
+
+def test_threaded_scan_passes_at_order_512(scan_threads):
+    assert verify(build_cyclic_gyrogroup(9)).passed
+    assert len(scan_threads) >= 1
+
+
+def test_threaded_gyrator_scan_without_left_cancellation(scan_threads):
+    # a repeat in row 3 keeps every left inverse but breaks left cancellation,
+    # so the gyrator identity gets a row scan of its own
+    G = build_cyclic_gyrogroup(9)
+    cayley = G.cayley.copy()
+    cayley[3, 5] = cayley[3, 6]
+    broken = FiniteGyrogroup(cayley, G.gyr_table, G.perm_matrix)
+    assert not core._left_cancellation_holds(broken)
+    for check, reference in ((check_gyrator_identity, ref_gyrator_witness),
+                             (check_left_gyroassociativity, ref_gyroassoc_witness)):
+        result = check(broken)
+        assert result.witness == reference(broken)
+        assert witness_confirms(broken, result)
+    assert len(scan_threads) >= 2
+
+
+class NoThread:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("the scan started a thread")
+
+
+@pytest.mark.parametrize("n", [5, 8])
+def test_scan_below_the_gate_starts_no_thread(monkeypatch, n):
+    # order 256 is the largest construction below the gate, 2 * 144
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setattr(threading, "Thread", NoThread)
+    assert (1 << n) < 2 * core._MIN_ROWS_PER_WORKER
+    assert check_left_gyroassociativity(build_cyclic_gyrogroup(n)).passed
+    cells = [((1 << n) - 1, 20, 9), ((1 << n) - 1, 1, 29)]
+    G = _planted(n, cells)
+    assert check_left_gyroassociativity(G).witness == min(cells) == ref_gyroassoc_witness(G)
+
+
+def test_scan_on_one_cpu_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(threading, "Thread", NoThread)
+    G, reference = _planted_case("row a's later b-range beats row a+1")
+    assert check_left_gyroassociativity(G).witness == reference
+
+
+def test_scan_error_in_a_worker_reaches_the_caller(scan_threads):
+    def row_holds(a, lo, hi):
+        if lo > 0 and a == 7:
+            raise MemoryError("worker failed")
+        return np.ones((hi - lo, 512), dtype=bool)
+
+    with pytest.raises(MemoryError, match="worker failed"):
+        core._first_triple_violation(512, row_holds)
 
 
 def test_gyrocommutative(g3, z8, dih8):
