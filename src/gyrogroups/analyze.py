@@ -102,6 +102,35 @@ def _is_prime(q: int) -> bool:
     return q > 1 and all(q % d for d in range(2, math.isqrt(q) + 1))
 
 
+def _cyclic_closures(G: FiniteGyrogroup, pool: Sequence[int]) -> dict[int, frozenset[int]]:
+    """close({x}) for every x in ``pool``, one walk per distinct set.
+
+    In a gyrogroup gyr[mx, kx] = I, so close({x}) is the cyclic group of the
+    powers mx, walked as x, x ⊕ x, … up to its order d, where it returns to
+    0; each mx with gcd(m, d) = 1 generates the same group.  A walk that
+    does not return to 0 within N steps is on tables that are not a
+    gyrogroup, and x is closed as any set is.
+    """
+    cyclic: dict[int, frozenset[int]] = {}
+    for x in pool:
+        if x in cyclic:
+            continue
+        row = G.cayley[x].tolist()
+        powers = [0]
+        p = x
+        while p != 0 and len(powers) < G.order:
+            powers.append(p)
+            p = row[p]  # (m + 1)x = x ⊕ mx
+        if p != 0:
+            cyclic[x] = _close(G, frozenset((x,)))
+            continue
+        members = frozenset(powers)
+        for m, power in enumerate(powers):
+            if math.gcd(m, len(powers)) == 1:
+                cyclic[power] = members
+    return cyclic
+
+
 def _join_pass(G: FiniteGyrogroup, pool: Sequence[int]) -> tuple[dict, dict]:
     """Every closed set generated inside ``pool``, by one pass of joins.
 
@@ -122,12 +151,7 @@ def _join_pass(G: FiniteGyrogroup, pool: Sequence[int]) -> tuple[dict, dict]:
     which is increasing, so its label is never smaller.
     """
     bottom = _close(G, frozenset())
-    inv = G.left_inverse_map()
-    cyclic: dict[int, frozenset[int]] = {}
-    for x in pool:
-        if x not in cyclic:
-            # ⊖x ∈ close({x}) and ⊖(⊖x) = x, so close({⊖x}) = close({x})
-            cyclic[x] = cyclic[int(inv[x])] = _close(G, frozenset((x,)))
+    cyclic = _cyclic_closures(G, pool)
     gens: dict[frozenset[int], tuple[int, ...]] = {bottom: ()}
     reached: dict[frozenset[int], set[frozenset[int]]] = {}
     heap = [(len(bottom), tuple(sorted(bottom)), bottom)]

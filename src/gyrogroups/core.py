@@ -57,13 +57,17 @@ SAMPLE_SEED = 1729
 # Gyration indices are stored as uint16.
 _GYRATION_LIMIT = 1 << 16
 # Each worker thread of an exhaustive triple scan takes a range of at least
-# this many b's, so threads start from order 288 up, and only with 2 CPUs or
-# more.  Each worker pays a fixed Python overhead per row under the GIL,
-# which a short range cannot repay.  In process on 2 CPUs (construction
-# tables times Z_k, median of 21 alternations), two threads against one
-# took 29 against 26 ms at order 256, 33 against 33 ms at 272, 36 against
-# 38 ms at 288, and 129 against 211 ms at 512.
-_MIN_ROWS_PER_WORKER = 144
+# this many b's, so threads start from order 240 up, and only with 2 CPUs or
+# more.  Each worker pays a fixed Python overhead per b under the GIL, which
+# a short range cannot repay.  In process on 2 CPUs (construction tables
+# times Z_k, median of 21 alternations, two windows), two threads against
+# one took 26/23 against 26/23 ms at order 224, 30/29 against 31/34 ms at
+# 240, 38/32 against 40/38 ms at 256, and 181 against 300 ms at 512.
+_MIN_ROWS_PER_WORKER = 120
+# An exhaustive triple scan takes the rows in blocks of at most this many
+# cells (a, c), the size of each temporary it holds for one b; at order 512
+# and below a block is the whole table.
+_BLOCK_CELLS = 1 << 18
 
 
 class GyrogroupDataError(ValueError):
@@ -431,30 +435,28 @@ def _left_cancellation_holds(G: FiniteGyrogroup) -> bool:
     return bool((inv >= 0).all() and (C[inv[:, None], C] == np.arange(G.order)).all())
 
 
-class _RowsTable:
-    """``table[rows, cols]`` as ``table[rows]`` with the same ``cols`` taken
-    from every row, one 1-D gather then one ``np.take`` along the rows, which
-    is cheaper than 2-D fancy indexing with a slice."""
+def _first_triple_violation(G: FiniteGyrogroup, holds) -> tuple[int, ...] | None:
+    """Smallest (a, b, c) where a triple law is false.
 
-    def __init__(self, table: np.ndarray) -> None:
-        self.table = table
+    ``holds(C, ab, a_bc)`` is the law's truth at the triples of some rows a
+    and one b with the same gyration P_k = gyr[a,b]: ``ab`` holds a ⊕ b by
+    row, ``a_bc`` holds a ⊕ (b ⊕ c) with c = P_k⁻¹(w) in column w, and C is
+    the Cayley table in its narrowest type.  Every stored gyration is a
+    bijection (the constructor checks it), so w = P_k(c) runs over the
+    elements as c does, and the law at (a, b, c) is the law at
+    (a, b, P_k⁻¹(w)).  Over every w, a ⊕ (b ⊕ P_k⁻¹(w)) is then one gather
+    of the rows a by an N-long index, and (a ⊕ b) ⊕ w is the Cayley row of
+    a ⊕ b.  The failing row is mapped back to the order of c through P_k.
+    Within a block of rows the b's go in order, each over the rows before
+    the smallest failing row so far.
 
-    def __getitem__(self, rows_cols: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        rows, cols = rows_cols
-        return np.take(self.table[rows], cols, axis=1)
-
-
-def _first_triple_violation(N: int, row_holds) -> tuple[int, ...] | None:
-    """Smallest (a, b, c) where ``row_holds(a, lo, hi)``, one law's truth for
-    row a over b in lo..hi-1 and every c, is false at [b - lo, c].
-
-    The b's are cut into one contiguous range per CPU available to the
-    process, each of at least _MIN_ROWS_PER_WORKER b's, and a worker per
-    range walks the rows in order: the calling thread takes the first range
-    and a thread each of the others.  numpy's gathers and comparisons
-    release the GIL, so the ranges run at once, each with its share of a
-    row's temporaries.  With one range the calling thread scans every row
-    whole and no thread starts.  A worker stops at its first violation and
+    The rows go in blocks of _BLOCK_CELLS // N.  The b's are cut into one
+    contiguous range per CPU available to the process, each of at least
+    _MIN_ROWS_PER_WORKER b's, and a worker per range walks the blocks in
+    order: the calling thread takes the first range and a thread each of the
+    others.  numpy's gathers and comparisons release the GIL, so the ranges
+    run at once.  With one range the calling thread scans every b and no
+    thread starts.  A worker stops at the first block with a violation and
     lowers a shared row bound, and every worker skips the rows past it.  The
     bound never falls below the row a* of the smallest witness, so the
     worker whose range holds that witness reaches row a* and records it, and
@@ -464,6 +466,11 @@ def _first_triple_violation(N: int, row_holds) -> tuple[int, ...] | None:
     import os
     import threading
 
+    N = G.order
+    C = G.cayley.astype(np.min_scalar_type(N - 1))
+    P = G.perm_matrix
+    Gy = G.gyr_table
+    height = max(1, _BLOCK_CELLS // N)
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:  # no affinity call outside Linux and some BSDs
@@ -475,17 +482,50 @@ def _first_triple_violation(N: int, row_holds) -> tuple[int, ...] | None:
     errors: list[BaseException] = []
     last_row = N - 1
 
+    def column_violation(a0: int, a1: int, b: int) -> tuple[int, int] | None:
+        """(a, c) of the smallest failing row a in a0..a1-1 of column b, or None."""
+        # the rows in order of their gyration, a run of rows per gyration; the
+        # sort is stable, so a single run is the rows as they stand
+        order = np.argsort(Gy[a0:a1, b], kind="stable")
+        gyr = Gy[a0:a1, b][order]
+        runs = [0, *(np.flatnonzero(gyr[1:] != gyr[:-1]) + 1).tolist(), len(gyr)]
+        index = np.empty(N, dtype=np.intp)
+        a_bc = np.empty((len(gyr), N), dtype=C.dtype)
+        for s, e in zip(runs, runs[1:]):
+            index[P[gyr[s]]] = C[b]  # index[w] = b ⊕ P_k⁻¹(w)
+            rows = slice(a0, a1) if len(runs) == 2 else a0 + order[s:e]
+            # the indices are in range, and "clip" writes to out unbuffered
+            np.take(C[rows], index, axis=1, out=a_bc[s:e], mode="clip")
+        ok = holds(C, C[a0:a1, b][order], a_bc)
+        if ok.all():
+            return None
+        failing = np.flatnonzero(~ok.all(axis=1))
+        j = failing[np.argmin(order[failing])]
+        return a0 + int(order[j]), int(np.argmin(ok[j][P[gyr[j]]]))
+
+    def block_violation(a0: int, a1: int, lo: int, hi: int) -> tuple[int, ...] | None:
+        best = None
+        for b in range(lo, hi):
+            a1 = min(a1, last_row + 1)
+            if a1 <= a0:
+                break
+            bad = column_violation(a0, a1, b)
+            if bad is not None:
+                best = (bad[0], b, bad[1])
+                a1 = bad[0]  # later b's only search the rows before it
+        return best
+
     def scan(lo: int, hi: int) -> None:
         nonlocal last_row
         try:
-            for a in range(N):
-                if a > last_row:
+            for a0 in range(0, N, height):
+                if a0 > last_row:
                     return
-                bad = _first_false(row_holds(a, lo, hi))
+                bad = block_violation(a0, min(a0 + height, N), lo, hi)
                 if bad is not None:
                     with lock:
-                        found.append((a, lo + bad[0], bad[1]))
-                        last_row = min(last_row, a)
+                        found.append(bad)
+                        last_row = min(last_row, bad[0])
                     return
         except BaseException as exc:  # re-raised by the calling thread
             with lock:
@@ -504,46 +544,19 @@ def _first_triple_violation(N: int, row_holds) -> tuple[int, ...] | None:
 
 
 def _first_gyroassoc_violation(G: FiniteGyrogroup) -> tuple[int, ...] | None:
-    """Smallest (a, b, c) where left gyroassociativity fails, one row a at a time.
-
-    a ⊕ (b ⊕ c) is one gather from row a.  For each distinct gyration k in
-    row a, the Cayley rows of a ⊕ b for the b with gyr[a,b] = k are gathered
-    and their columns permuted by k, which gives (a ⊕ b) ⊕ gyr[a,b]c.  Extra
-    memory is O(N²) whatever the number of distinct gyrations.
-    """
-    N = G.order
-    C = G.cayley.astype(np.min_scalar_type(N - 1))
-    rows = _RowsTable(C)
-    index = G.cayley.astype(np.intp)
-    P = G.perm_matrix
-    Gy = G.gyr_table
-
-    def row_holds(a: int, lo: int, hi: int) -> np.ndarray:
-        ab = index[a, lo:hi]
-        a_bc = np.take(C[a], index[lo:hi])
-        ok = np.empty((hi - lo, N), dtype=bool)
-        gyr = Gy[a, lo:hi]
-        for k in np.unique(gyr):
-            bs = np.flatnonzero(gyr == k)
-            # row i of the gathered rows is a ⊕ b_i, so its column c holds
-            # (a ⊕ b_i) ⊕ P_k(c) once the columns are indexed by P_k
-            ok[bs] = _gyroassoc_holds(rows, ab[bs], a_bc[bs], P[k])
-        return ok
-
-    return _first_triple_violation(N, row_holds)
+    """Smallest (a, b, c) where left gyroassociativity fails."""
+    # (a ⊕ b) ⊕ w over every w is the whole Cayley row of a ⊕ b
+    return _first_triple_violation(
+        G, lambda C, ab, a_bc: _gyroassoc_holds(C, ab, a_bc, slice(None))
+    )
 
 
 def _first_gyrator_violation(G: FiniteGyrogroup, inv: np.ndarray) -> tuple[int, ...] | None:
-    """Smallest (a, b, c) where the gyrator identity fails, one row a at a time."""
-    C = G.cayley
-    P = G.perm_matrix
-    Gy = G.gyr_table
-
-    def row_holds(a: int, lo: int, hi: int) -> np.ndarray:
-        ab = C[a, lo:hi]
-        return _gyrator_holds(C, inv, ab[:, None], C[a][C[lo:hi]], P[Gy[a, lo:hi]])
-
-    return _first_triple_violation(G.order, row_holds)
+    """Smallest (a, b, c) where the gyrator identity fails."""
+    w = np.arange(G.order)
+    return _first_triple_violation(
+        G, lambda C, ab, a_bc: _gyrator_holds(C, inv, ab[:, None], a_bc, w)
+    )
 
 
 def check_left_gyroassociativity(G: FiniteGyrogroup) -> CheckResult:

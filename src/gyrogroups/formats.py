@@ -115,17 +115,41 @@ def _parse_int(token: str, line_no: int, col: int, limit: int) -> int:
     return value
 
 
-def _int_block(block: list[str], n: int) -> np.ndarray | None:
-    """n lines of n comma-separated entries in 0..n-1 as one numpy
-    conversion, or None when it cannot be sure of the per-token result."""
+def _int_block(block: list[str], rows: int, n: int, delimiter: str | None) -> np.ndarray | None:
+    """``rows`` lines of n entries in 0..n-1, split at ``delimiter`` (None:
+    at whitespace), as one numpy conversion, or None when it cannot be sure
+    of the per-token result."""
     # numpy misreads some non-ASCII characters as digits, and skips blank lines
-    if len(block) != n or not all(line.isascii() and line.strip() for line in block):
+    if len(block) != rows or not all(line.isascii() and line.strip() for line in block):
         return None
     try:
-        table = np.loadtxt(block, delimiter=",", dtype=np.int64, comments=None, ndmin=2)
+        table = np.loadtxt(block, delimiter=delimiter, dtype=np.int64, comments=None, ndmin=2)
     except ValueError:
         return None
-    return table if table.shape == (n, n) and 0 <= table.min() and table.max() < n else None
+    return table if table.shape == (rows, n) and 0 <= table.min() and table.max() < n else None
+
+
+def _legend_images(entries: list[tuple[int, str, str]], n: int) -> np.ndarray:
+    """The image rows of the legend lines, given as (line index, symbol,
+    images text), read whole; only when that fails, or some row is not a
+    bijection, do the per-line and per-token rules run, to name the first
+    bad line and field."""
+    bodies = [body for _, _, body in entries]
+    images = _int_block(bodies, len(bodies), n, None) if bodies else np.empty((0, n), np.int64)
+    if images is not None and (np.sort(images, axis=1) == np.arange(n)).all():
+        return images
+    rows = []
+    for i, sym, body in entries:
+        tokens = body.split()
+        if len(tokens) != n:
+            raise TableFormatError(
+                f"line {i + 1}: permutation {sym!r} lists {len(tokens)} images, expected {n}"
+            )
+        values = [_parse_int(tok, i + 1, j, n) for j, tok in enumerate(tokens)]
+        if sorted(values) != list(range(n)):
+            raise TableFormatError(f"line {i + 1}: permutation {sym!r} is not a bijection")
+        rows.append(values)
+    return np.array(rows, dtype=np.int64)
 
 
 def load_tables(document: str | bytes, *, strict: bool = True) -> FiniteGyrogroup:
@@ -165,7 +189,7 @@ def load_tables(document: str | bytes, *, strict: bool = True) -> FiniteGyrogrou
 
     if line_at(1).strip() != "cayley":
         raise TableFormatError("line 2: expected 'cayley' section marker")
-    cayley = _int_block(lines[2 : 2 + n], n)
+    cayley = _int_block(lines[2 : 2 + n], n, n, ",")
     if cayley is None:
         # rows are kept as lists, so a huge stated order allocates nothing
         rows = []
@@ -192,29 +216,27 @@ def load_tables(document: str | bytes, *, strict: bool = True) -> FiniteGyrogrou
             raise TableFormatError(f"line {line_no + 1}: expected {n} fields, got {count}")
 
     legend: dict[str, int] = {}
-    perms: list[tuple[int, ...]] = []
-    for i in range(gyr_marker + 1 + n, len(lines)):
-        line = lines[i].strip()
-        if not line:
-            continue
-        if not line.startswith("perm "):
-            raise TableFormatError(f"line {i + 1}: expected 'perm SYM: images' line")
-        head, _, body = line[5:].partition(":")
-        sym = head.strip()
-        if not sym:
-            raise TableFormatError(f"line {i + 1}: empty permutation symbol")
-        if sym in legend:
-            raise TableFormatError(f"line {i + 1}: duplicate legend symbol {sym!r}")
-        images = body.split()
-        if len(images) != n:
-            raise TableFormatError(
-                f"line {i + 1}: permutation {sym!r} lists {len(images)} images, expected {n}"
-            )
-        values = tuple(_parse_int(tok, i + 1, j, n) for j, tok in enumerate(images))
-        if sorted(values) != list(range(n)):
-            raise TableFormatError(f"line {i + 1}: permutation {sym!r} is not a bijection")
-        legend[sym] = len(perms)
-        perms.append(values)
+    entries: list[tuple[int, str, str]] = []
+    try:
+        for i in range(gyr_marker + 1 + n, len(lines)):
+            line = lines[i].strip()
+            if not line:
+                continue
+            if not line.startswith("perm "):
+                raise TableFormatError(f"line {i + 1}: expected 'perm SYM: images' line")
+            head, _, body = line[5:].partition(":")
+            sym = head.strip()
+            if not sym:
+                raise TableFormatError(f"line {i + 1}: empty permutation symbol")
+            if sym in legend:
+                raise TableFormatError(f"line {i + 1}: duplicate legend symbol {sym!r}")
+            legend[sym] = len(entries)
+            entries.append((i, sym, body))
+    except TableFormatError:
+        # the errors in the images of the lines before it come first
+        _legend_images(entries, n)
+        raise
+    perms = _legend_images(entries, n)
 
     # legend symbols are stripped, so a field found as it stands needs no
     # strip; only rows with a field not found are split again
@@ -250,7 +272,7 @@ def load_tables(document: str | bytes, *, strict: bool = True) -> FiniteGyrogrou
         sigma[[0, identity_rows[0]]] = sigma[[identity_rows[0], 0]]
         cayley = sigma[cayley[sigma[:, None], sigma[None, :]]]
         gyr = gyr[sigma[:, None], sigma[None, :]]
-        perms = sigma[np.array(perms)[:, sigma]]
+        perms = sigma[perms[:, sigma]]
 
     return FiniteGyrogroup(cayley, gyr, perms)
 

@@ -151,8 +151,8 @@ def test_z2_power_lattice_is_the_subspace_lattice():
 
 def test_prime_index_joins_are_not_closed_again(monkeypatch):
     # every join in Z2^5 doubles a subspace, so once T ∪ {x} closes to S the
-    # other y in S ∖ T are skipped: one closure for the bottom, one per pair
-    # {x, ⊖x} for its cyclic subgyrogroup (here every x is ⊖x), and one per cover
+    # other y in S ∖ T are skipped: one closure for the bottom and one per
+    # cover, while the cyclic subgyrogroups are walked as powers, not closed
     G = z2_power(5)
     cyclic = {analyze._close(G, frozenset((x,))) for x in range(G.order)}
     calls = []
@@ -164,14 +164,20 @@ def test_prime_index_joins_are_not_closed_again(monkeypatch):
     monkeypatch.setattr(analyze, "_close", counting)
     lattice = enumerate_subgyrogroups(G)
     assert len(cyclic) == G.order
-    assert len(calls) == len(lattice.covers) + len(cyclic) + 1 == 2077 + 32 + 1
+    assert len(calls) == len(lattice.covers) + 1 == 2077 + 1
 
 
 def test_cyclic_closures_are_shared_by_inverse_pairs(monkeypatch):
-    # close({⊖x}) = close({x}), so the lattice at n=8 closes one cyclic
-    # subgyrogroup per pair {x, ⊖x}, 130 of them, where it closed all 256
+    # close({x}) is the cyclic group of the powers of x, shared by every
+    # generator mx with gcd(m, d) = 1, ⊖x among them; so the lattice at n=8
+    # walks its 16 cyclic subgyrogroups once each, where it closed one per
+    # pair {x, ⊖x}, 130 of them, and none goes through _close
     G = build_cyclic_gyrogroup(8)
     inv = G.left_inverse_map()
+    cyclic = analyze._cyclic_closures(G, range(G.order))
+    for x in range(G.order):
+        assert cyclic[x] == cyclic[int(inv[x])] == analyze._close(G, frozenset((x,)))
+    assert len({id(S) for S in cyclic.values()}) == len(set(cyclic.values())) == 16
     calls = []
 
     def counting(G, seed, close=analyze._close):
@@ -180,10 +186,17 @@ def test_cyclic_closures_are_shared_by_inverse_pairs(monkeypatch):
 
     monkeypatch.setattr(analyze, "_close", counting)
     lattice = enumerate_subgyrogroups(G)
-    pairs = {frozenset((x, int(inv[x]))) for x in range(G.order)}
-    assert len([seed for seed in calls if len(seed) == 1]) == len(pairs) == 130
-    assert len(calls) == 293
+    assert not [seed for seed in calls if len(seed) == 1]
+    assert len(calls) == 293 - 130
     assert len(lattice.nodes) == 3 * 8 - 1
+
+
+def test_cyclic_walk_that_misses_zero_closes_as_before():
+    # x ⊕ y = y gives no element a left inverse and no power of 1 is 0, so the
+    # walk falls back to closing {1}, which names the missing inverse
+    G = FiniteGyrogroup(np.tile(np.arange(4), (4, 1)))
+    with pytest.raises(GyrogroupDataError, match="element 1 has no left inverse"):
+        closure(G, {1})
 
 
 # ------------------------------------------------------------- classification

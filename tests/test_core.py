@@ -4,9 +4,11 @@ import os
 import re
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gyrogroups import core
 from gyrogroups import (
@@ -237,13 +239,59 @@ def _random_gyrations(seed):
     return FiniteGyrogroup(G.cayley, gyr, perms)
 
 
+def _row_repeat_512():
+    # row 300 repeats an entry, so that left translation is not a bijection
+    G = build_cyclic_gyrogroup(9)
+    cayley = G.cayley.copy()
+    cayley[300, 7] = cayley[300, 8]
+    return FiniteGyrogroup(cayley, G.gyr_table, G.perm_matrix)
+
+
+def _distinct_gyrations(cayley, seed):
+    """``cayley`` with its own random gyration for every pair."""
+    N = len(cayley)
+    rng = np.random.default_rng(seed)
+    perms = rng.permuted(np.broadcast_to(np.arange(N), (N * N, N)), axis=1)
+    G = FiniteGyrogroup(cayley, np.arange(N * N).reshape(N, N), perms)
+    assert len(G.perm_matrix) == N * N
+    return G
+
+
+def _left_zero_distinct_gyrations():
+    # with x ⊕ y = x both sides are a whatever the gyration, so the law holds
+    # at every triple, until one entry changes
+    left_zero = np.repeat(np.arange(128)[:, None], 128, axis=1)
+    G = _distinct_gyrations(left_zero, 3)
+    assert ref_gyroassoc_witness(G) is None
+    yield G
+    left_zero[100, 5] = 7
+    yield _distinct_gyrations(left_zero, 3)
+
+
 TRIPLE_CASES = {
     "n3 cayley mutations": (lambda: _cayley_mutations(3), False),
     "n3 gyration flips": (lambda: _gyration_flips(3), True),
     "n4 gyration flips": (lambda: _gyration_flips(4), True),
     "order 16, random gyrations": (lambda: map(_random_gyrations, range(8)), True),
     "constant table": (lambda: [FiniteGyrogroup([list(range(4))] * 4)], False),
+    "order 512, a non-bijective left translation": (lambda: [_row_repeat_512()], False),
+    "order 128, a gyration per pair, x + y = x": (_left_zero_distinct_gyrations, False),
+    "order 128, a gyration per pair, construction": (
+        lambda: [_distinct_gyrations(build_cyclic_gyrogroup(7).cayley, 4)], True
+    ),
 }
+
+
+def _assert_triple_witnesses(G):
+    """Both exhaustive triple checks give the reference witness, confirmed
+    from the tables when there is one."""
+    for check, reference in ((check_left_gyroassociativity, ref_gyroassoc_witness),
+                             (check_gyrator_identity, ref_gyrator_witness)):
+        result = check(G)
+        assert result.witness == reference(G)
+        assert result.passed == (result.witness is None)
+        if not result.passed:
+            assert witness_confirms(G, result)
 
 
 @pytest.mark.parametrize("case", list(TRIPLE_CASES))
@@ -253,12 +301,7 @@ def test_triple_witnesses_match_reference(case):
         # with left cancellation the gyrator identity takes the shortcut,
         # otherwise its own row scan
         assert core._left_cancellation_holds(G) == cancels
-        assoc = check_left_gyroassociativity(G)
-        gyrator = check_gyrator_identity(G)
-        assert assoc.witness == ref_gyroassoc_witness(G)
-        assert gyrator.witness == ref_gyrator_witness(G)
-        assert assoc.passed == (assoc.witness is None)
-        assert gyrator.passed == (gyrator.witness is None)
+        _assert_triple_witnesses(G)
 
 
 def test_verify_scans_the_triples_once_with_left_cancellation(monkeypatch):
@@ -299,7 +342,7 @@ def _planted(n, cells):
 @pytest.fixture(params=[2, 8], ids=["2 cpus", "8 cpus"])
 def scan_threads(request, monkeypatch):
     """The CPUs the scans see, and the threads they start.  With 8, an
-    order-512 scan runs three workers, which switch as often as they can."""
+    order-512 scan runs four workers, which switch as often as they can."""
     cpus = request.param
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     started = []
@@ -321,7 +364,7 @@ def scan_threads(request, monkeypatch):
 
 
 # (a, b, c) cells for order 512, where 2 cpus cut the b's at 256, and 8 cpus,
-# three workers of at least 144 b's, at 170 and 341
+# four workers of at least 120 b's, at 128, 256 and 384
 PLANTED = {
     "row 0": [(0, 5, 7)],
     "row N-1": [(511, 300, 3)],
@@ -373,9 +416,9 @@ class NoThread:
         raise AssertionError("the scan started a thread")
 
 
-@pytest.mark.parametrize("n", [5, 8])
+@pytest.mark.parametrize("n", [5, 7])
 def test_scan_below_the_gate_starts_no_thread(monkeypatch, n):
-    # order 256 is the largest construction below the gate, 2 * 144
+    # order 128 is the largest construction below the gate, 2 * 120
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     monkeypatch.setattr(threading, "Thread", NoThread)
     assert (1 << n) < 2 * core._MIN_ROWS_PER_WORKER
@@ -393,13 +436,102 @@ def test_scan_on_one_cpu_starts_no_thread(monkeypatch):
 
 
 def test_scan_error_in_a_worker_reaches_the_caller(scan_threads):
-    def row_holds(a, lo, hi):
-        if lo > 0 and a == 7:
+    caller = threading.current_thread()
+
+    def holds(C, ab, a_bc):
+        if threading.current_thread() is not caller:
             raise MemoryError("worker failed")
-        return np.ones((hi - lo, 512), dtype=bool)
+        return np.ones(a_bc.shape, dtype=bool)
 
     with pytest.raises(MemoryError, match="worker failed"):
-        core._first_triple_violation(512, row_holds)
+        core._first_triple_violation(build_cyclic_gyrogroup(9), holds)
+
+
+# --------------------------------------------------------- block scan kernel
+
+
+# (a, b, c) cells for order 64 in blocks of 16 rows
+BLOCK_EDGES = {
+    "first row of a block": [(32, 9, 4)],
+    "last row of a block": [(47, 3, 2)],
+    "row after a boundary loses to the row before": [(16, 2, 3), (15, 60, 1)],
+    "last row of the table": [(63, 40, 0)],
+    "mixed column, the smaller row in the later run": [(38, 33, 5), (36, 33, 40)],
+}
+
+
+@pytest.mark.parametrize("case", list(BLOCK_EDGES))
+def test_block_edges_give_the_smallest_witness(case, scan_threads, monkeypatch):
+    # blocks of 16 rows, and a worker per 16 b's on the CPUs the fixture sets
+    monkeypatch.setattr(core, "_BLOCK_CELLS", 16 * 64)
+    monkeypatch.setattr(core, "_MIN_ROWS_PER_WORKER", 16)
+    G = _planted(6, BLOCK_EDGES[case])
+    assert check_left_gyroassociativity(G).witness == min(BLOCK_EDGES[case])
+    _assert_triple_witnesses(G)
+    assert len(scan_threads) >= 1
+
+
+def test_mixed_column_runs_are_sorted_by_gyration(monkeypatch):
+    # rows 32..47 of column 33 alternate between the construction's two
+    # gyrations and carry the two planted ones, which sort last, row 36 after
+    # row 38
+    monkeypatch.setattr(core, "_BLOCK_CELLS", 16 * 64)
+    G = _planted(6, BLOCK_EDGES["mixed column, the smaller row in the later run"])
+    column = G.gyr_table[32:48, 33]
+    assert sorted(set(column.tolist())) == [0, 1, 2, 3]
+    assert column[36 - 32] > column[38 - 32]
+    assert check_left_gyroassociativity(G).witness == (36, 33, 40)
+
+
+@st.composite
+def small_tables(draw):
+    """Tables of order 2 to 16: any Cayley entries, or Z_n with a few changed;
+    any gyration per pair, or the identity with a few changed."""
+    n = draw(st.integers(2, 16))
+    element = st.integers(0, n - 1)
+    perms = [list(range(n))] + draw(st.lists(st.permutations(range(n)), max_size=3))
+    gyration = st.integers(0, len(perms) - 1)
+    if draw(st.booleans()):
+        cayley = np.array(draw(st.lists(element, min_size=n * n, max_size=n * n)))
+    else:
+        cayley = cyclic_group(n).ravel()
+        for cell, v in draw(st.lists(st.tuples(st.integers(0, n * n - 1), element), max_size=3)):
+            cayley[cell] = v
+    if draw(st.booleans()):
+        gyr = np.array(draw(st.lists(gyration, min_size=n * n, max_size=n * n)))
+    else:
+        gyr = np.zeros(n * n, dtype=np.int64)
+        for cell, k in draw(st.lists(st.tuples(st.integers(0, n * n - 1), gyration), max_size=4)):
+            gyr[cell] = k
+    rows = draw(st.integers(1, n))
+    return FiniteGyrogroup(cayley.reshape(n, n), gyr.reshape(n, n), perms), rows
+
+
+@given(small_tables())
+@settings(max_examples=300, deadline=None)
+def test_scan_matches_reference_on_random_small_tables(table_and_rows):
+    G, rows = table_and_rows
+    _assert_triple_witnesses(G)
+    with pytest.MonkeyPatch.context() as patch:  # blocks of any height
+        patch.setattr(core, "_BLOCK_CELLS", rows * G.order)
+        _assert_triple_witnesses(G)
+
+
+def test_scan_peak_memory_at_order_512(monkeypatch):
+    # each worker holds a few block-sized temporaries, and two peak near
+    # 3.2 MB; an N×N intp index alone would add 2 MB
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    G = build_cyclic_gyrogroup(9)
+    gyr = np.array(G.gyr_table)
+    gyr[511, 0] ^= 1
+    for table in (G, FiniteGyrogroup(G.cayley, gyr, G.perm_matrix)):
+        tracemalloc.start()
+        try:
+            check_left_gyroassociativity(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5e6
 
 
 def test_gyrocommutative(g3, z8, dih8):

@@ -121,6 +121,20 @@ def test_load_reports_non_bijective_legend(g3):
         load_tables(doc)
 
 
+@pytest.mark.parametrize("first, message", [
+    ("perm I: 0 1 2 x 4 5 6 7", "line 20, field 4: 'x' is not an integer"),
+    ("perm I: 0 1 2 3 4 5 6", "line 20: permutation 'I' lists 7 images, expected 8"),
+    ("perm I: 0 1 2 3 4 5 6 6", "line 20: permutation 'I' is not a bijection"),
+])
+@pytest.mark.parametrize("later", ["perm I: 0 1 2 3 4 5 6 7", "perm : 0", "pern B: 0"])
+def test_load_reports_legend_errors_in_line_order(g3, first, message, later):
+    # the images of a legend line are read with the whole legend, after the
+    # per-line checks of the lines below it, and their errors still come first
+    doc = emit_tables(g3, "csv").replace("perm I: 0 1 2 3 4 5 6 7", first) + later + "\n"
+    assert load_outcome(load_tables, doc, False) == (TableFormatError, message)
+    assert load_outcome(ref_load_tables, doc, False) == (TableFormatError, message)
+
+
 def test_load_strict_rejects_latin_violation(g3):
     doc = emit_tables(g3, "csv").replace("4,7,6,5,0,3,2,1", "4,7,6,5,0,3,2,2")
     with pytest.raises(TableFormatError, match="repeats a value"):
