@@ -56,14 +56,11 @@ SAMPLE_SIZE = 10_000_000
 SAMPLE_SEED = 1729
 # Gyration indices are stored as uint16.
 _GYRATION_LIMIT = 1 << 16
-# Each worker thread of an exhaustive triple scan takes a range of at least
-# this many b's, so threads start from order 240 up, and only with 2 CPUs or
-# more.  Each worker pays a fixed Python overhead per b under the GIL, which
-# a short range cannot repay.  In process on 2 CPUs (construction tables
-# times Z_k, median of 21 alternations, two windows), two threads against
-# one took 26/23 against 26/23 ms at order 224, 30/29 against 31/34 ms at
-# 240, 38/32 against 40/38 ms at 256, and 181 against 300 ms at 512.
+# A triple scan of order N runs a worker per CPU available to the process, but
+# at most N // _MIN_ROWS_PER_WORKER, so threads start from order 240 up.
 _MIN_ROWS_PER_WORKER = 120
+# The triples a sampled scan holds drawn at once, split among its workers.
+_SAMPLE_CHUNK = 1 << 18
 # An exhaustive triple scan takes the rows in blocks of at most this many
 # cells (a, c), the size of each temporary it holds for one b; at order 512
 # and below a block is the whole table.
@@ -435,6 +432,42 @@ def _left_cancellation_holds(G: FiniteGyrogroup) -> bool:
     return bool((inv >= 0).all() and (C[inv[:, None], C] == np.arange(G.order)).all())
 
 
+def _scan_workers(N: int) -> int:
+    """The worker count of a triple scan of order N."""
+    import os
+
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # no affinity call outside Linux and some BSDs
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, N // _MIN_ROWS_PER_WORKER))
+
+
+def _run_workers(workers: int, work: Callable[[int], None], stop: Callable[[], None]) -> None:
+    """``work(w)`` for each w < workers: the calling thread takes w = 0, and
+    one thread each the others.  The first error calls ``stop``, and the
+    calling thread re-raises it once every worker is done."""
+    import threading
+
+    errors: list[BaseException] = []
+
+    def run(w: int) -> None:
+        try:
+            work(w)
+        except BaseException as exc:
+            errors.append(exc)
+            stop()
+
+    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+
+
 def _first_triple_violation(G: FiniteGyrogroup, holds) -> tuple[int, ...] | None:
     """Smallest (a, b, c) where a triple law is false.
 
@@ -451,19 +484,15 @@ def _first_triple_violation(G: FiniteGyrogroup, holds) -> tuple[int, ...] | None
     the smallest failing row so far.
 
     The rows go in blocks of _BLOCK_CELLS // N.  The b's are cut into one
-    contiguous range per CPU available to the process, each of at least
-    _MIN_ROWS_PER_WORKER b's, and a worker per range walks the blocks in
-    order: the calling thread takes the first range and a thread each of the
-    others.  numpy's gathers and comparisons release the GIL, so the ranges
-    run at once.  With one range the calling thread scans every b and no
-    thread starts.  A worker stops at the first block with a violation and
-    lowers a shared row bound, and every worker skips the rows past it.  The
-    bound never falls below the row a* of the smallest witness, so the
-    worker whose range holds that witness reaches row a* and records it, and
-    the smallest recorded witness is the answer however the threads are
-    scheduled.
+    contiguous range per worker (`_scan_workers`), and each worker walks the
+    blocks of its range in order.  numpy's gathers and comparisons release
+    the GIL, so the ranges run at once.  A worker stops at the first block
+    with a violation and lowers a shared row bound, and every worker skips
+    the rows past it.  The bound never falls below the row a* of the
+    smallest witness, so the worker whose range holds that witness reaches
+    row a* and records it, and the smallest recorded witness is the answer
+    however the threads are scheduled.
     """
-    import os
     import threading
 
     N = G.order
@@ -471,15 +500,10 @@ def _first_triple_violation(G: FiniteGyrogroup, holds) -> tuple[int, ...] | None
     P = G.perm_matrix
     Gy = G.gyr_table
     height = max(1, _BLOCK_CELLS // N)
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:  # no affinity call outside Linux and some BSDs
-        cpus = os.cpu_count() or 1
-    workers = max(1, min(cpus, N // _MIN_ROWS_PER_WORKER))
+    workers = _scan_workers(N)
     bounds = [N * w // workers for w in range(workers + 1)]
     lock = threading.Lock()
     found: list[tuple[int, ...]] = []
-    errors: list[BaseException] = []
     last_row = N - 1
 
     def column_violation(a0: int, a1: int, b: int) -> tuple[int, int] | None:
@@ -515,31 +539,24 @@ def _first_triple_violation(G: FiniteGyrogroup, holds) -> tuple[int, ...] | None
                 a1 = bad[0]  # later b's only search the rows before it
         return best
 
-    def scan(lo: int, hi: int) -> None:
+    def scan(w: int) -> None:
         nonlocal last_row
-        try:
-            for a0 in range(0, N, height):
-                if a0 > last_row:
-                    return
-                bad = block_violation(a0, min(a0 + height, N), lo, hi)
-                if bad is not None:
-                    with lock:
-                        found.append(bad)
-                        last_row = min(last_row, bad[0])
-                    return
-        except BaseException as exc:  # re-raised by the calling thread
-            with lock:
-                errors.append(exc)
-                last_row = -1
+        for a0 in range(0, N, height):
+            if a0 > last_row:
+                return
+            bad = block_violation(a0, min(a0 + height, N), bounds[w], bounds[w + 1])
+            if bad is not None:
+                with lock:
+                    found.append(bad)
+                    last_row = min(last_row, bad[0])
+                return
 
-    threads = [threading.Thread(target=scan, args=bounds[w : w + 2]) for w in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    scan(bounds[0], bounds[1])
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
+    def stop() -> None:
+        nonlocal last_row
+        with lock:
+            last_row = -1
+
+    _run_workers(workers, scan, stop)
     return min(found, default=None)
 
 
@@ -624,57 +641,101 @@ class _FlatTable:
         self.width = table.shape[1]
         self.index_type = np.min_scalar_type(-table.size)
 
+    def cell(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The flat positions x * width + y."""
+        return np.multiply(x, self.width, dtype=self.index_type) + y
+
     def __getitem__(self, xy: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        x, y = xy
-        return np.take(self.flat, np.multiply(x, self.width, dtype=self.index_type) + y)
+        return np.take(self.flat, self.cell(*xy))
 
 
 def _sampled_triples(
     G: FiniteGyrogroup, seed: int, sample_size: int
 ) -> tuple[CheckResult, CheckResult]:
-    """Seeded-sample versions of the two triple checks for large orders."""
-    C = _FlatTable(G.cayley)
+    """Seeded-sample versions of the two triple checks for large orders.
+
+    The sample is drawn from ``default_rng(seed)`` in chunks of
+    _SAMPLE_CHUNK // workers triples (`_scan_workers`), so the triples held
+    at once stay near _SAMPLE_CHUNK.  Each worker draws the next chunk under
+    a lock and evaluates it outside, where numpy's gathers release the GIL.
+    A law's witness is the first failing draw of its earliest failing chunk,
+    the first failing draw of the sample however the threads are scheduled.
+    No chunk is drawn once every law has failed in an earlier one.
+    """
+    import threading
+
+    N = G.order
+    C = _FlatTable(G.cayley.astype(np.min_scalar_type(N - 1)))
     P = _FlatTable(G.perm_matrix)
-    Gy = _FlatTable(G.gyr_table)
+    Gy = G.gyr_table.ravel()
     inv = G.left_inverse_map()
+    laws = [lambda ab, a_bc, gyr_c: _gyroassoc_holds(C, ab, a_bc, gyr_c)]
     # otherwise the gyrator identity is undefined, or the associativity
     # witness decides it (see the module docstring)
     scan_gyrator = bool((inv >= 0).all()) and not _left_cancellation_holds(G)
+    if scan_gyrator:
+        laws.append(lambda ab, a_bc, gyr_c: _gyrator_holds(C, inv, ab, a_bc, gyr_c))
+    # (chunk, witness) of each law's earliest failing chunk so far
+    first: list[tuple[int, tuple[int, ...]] | None] = [None] * len(laws)
 
+    workers = _scan_workers(N)
+    chunk = _SAMPLE_CHUNK // workers
+    chunks = -(-sample_size // chunk)
     rng = np.random.default_rng(seed)
-    assoc_witness: tuple[int, ...] | None = None
-    gyrator_witness: tuple[int, ...] | None = None
-    remaining = sample_size
-    chunk = 1 << 18
-    while remaining > 0 and (
-        assoc_witness is None or (scan_gyrator and gyrator_witness is None)
-    ):
-        k = min(chunk, remaining)
-        remaining -= k
-        # the same draws, held in the narrowest type to keep the chunk small
-        abc = rng.integers(0, G.order, size=(k, 3)).astype(np.min_scalar_type(-G.order))
+    lock = threading.Lock()
+    drawn = 0
+
+    def needed(f: tuple[int, tuple[int, ...]] | None, i: int) -> bool:
+        """Whether chunk i can hold a law's witness, given its ``first``."""
+        return f is None or f[0] > i
+
+    def terms(abc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """a ⊕ b, a ⊕ (b ⊕ c) and gyr[a,b]c at the draws (a, b, c)."""
         a, b, c = abc.T
-        ab = C[a, b]
-        a_bc = C[a, C[b, c]]
-        gyr_c = P[Gy[a, b], c]
-        if assoc_witness is None:
-            bad = np.nonzero(~_gyroassoc_holds(C, ab, a_bc, gyr_c))[0]
+        ab_cell = C.cell(a, b)
+        return np.take(C.flat, ab_cell), C[a, C[b, c]], P[np.take(Gy, ab_cell), c]
+
+    def next_chunk() -> bool:
+        """Draw and evaluate the next chunk; False when none is needed.  A
+        chunk's arrays live in this call only, so none outlives its chunk."""
+        nonlocal drawn
+        with lock:
+            i = drawn
+            if i >= chunks or not any(needed(f, i) for f in first):
+                return False
+            drawn += 1
+            # int32 draws are the int64 ones, in half the memory
+            abc = rng.integers(0, N, size=(min(chunk, sample_size - i * chunk), 3),
+                               dtype=np.int32)
+        abc = abc.astype(np.min_scalar_type(-N))
+        ab, a_bc, gyr_c = terms(abc)
+        for law, holds in enumerate(laws):
+            if not needed(first[law], i):
+                continue
+            bad = np.flatnonzero(~holds(ab, a_bc, gyr_c))
             if bad.size:
-                assoc_witness = tuple(int(v) for v in abc[bad[0]])
-        if gyrator_witness is None and scan_gyrator:
-            bad = np.nonzero(~_gyrator_holds(C, inv, ab, a_bc, gyr_c))[0]
-            if bad.size:
-                gyrator_witness = tuple(int(v) for v in abc[bad[0]])
+                with lock:
+                    if needed(first[law], i):
+                        first[law] = (i, tuple(int(v) for v in abc[bad[0]]))
+        return True
+
+    def scan(_w: int) -> None:
+        while next_chunk():
+            pass
+
+    def stop() -> None:
+        nonlocal drawn
+        with lock:
+            drawn = chunks
+
+    _run_workers(workers, scan, stop)
+    witness = [None if f is None else f[1] for f in first]
 
     note = "sampled"
-    assoc = CheckResult(
-        "left_gyroassociativity", assoc_witness is None, assoc_witness, note=note
-    )
+    assoc = CheckResult("left_gyroassociativity", first[0] is None, witness[0], note=note)
     if not scan_gyrator:
         return assoc, _gyrator_identity(G, assoc)
-    gyrator = CheckResult(
-        "gyrator_identity", gyrator_witness is None, gyrator_witness, note=note
-    )
+    gyrator = CheckResult("gyrator_identity", first[1] is None, witness[1], note=note)
     return assoc, gyrator
 
 

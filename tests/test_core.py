@@ -32,7 +32,7 @@ from gyrogroups import (
 )
 
 from formats_reference import ref_left_translations, ref_right_translations
-from triple_reference import ref_gyrator_witness, ref_gyroassoc_witness
+from triple_reference import ref_gyrator_witness, ref_gyroassoc_witness, ref_sampled_witnesses
 from witness_checks import witness_confirms
 
 
@@ -578,13 +578,11 @@ def test_verify_full_for_n3_to_n8():
         assert report.passed and not report.sampled, f"n={n}"
 
 
-@pytest.mark.skipif(not os.environ.get("GYRO_SLOW"), reason="set GYRO_SLOW=1 to run")
 def test_verify_full_at_order_512():
     report = verify(build_cyclic_gyrogroup(9))
     assert report.passed and not report.sampled
 
 
-@pytest.mark.skipif(not os.environ.get("GYRO_SLOW"), reason="set GYRO_SLOW=1 to run")
 def test_verify_flipped_gyration_at_order_512():
     G = build_cyclic_gyrogroup(9)
     gyr = np.array(G.gyr_table)
@@ -609,13 +607,9 @@ def test_verify_sampled_above_limit():
     assert witness_confirms(suppressed, result)
 
 
-def test_sampled_scan_stops_once_no_witness_can_follow(monkeypatch):
-    # with column 3 constant, 3 has no left inverse, so the gyrator identity is
-    # undefined and the scan is done once the associativity witness is found
-    G = build_cyclic_gyrogroup(5)
-    cayley = G.cayley.copy()
-    cayley[:, 3] = 3
-    broken = FiniteGyrogroup(cayley, G.gyr_table, G.perm_matrix)
+@pytest.fixture
+def sample_chunks(monkeypatch):
+    """The size of each chunk the sampled scan draws, in drawing order."""
     chunks = []
     default_rng = np.random.default_rng
 
@@ -628,12 +622,118 @@ def test_sampled_scan_stops_once_no_witness_can_follow(monkeypatch):
             return self._rng.integers(*args, **kwargs)
 
     monkeypatch.setattr(np.random, "default_rng", CountingRng)
+    return chunks
+
+
+def test_sampled_scan_stops_once_no_witness_can_follow(sample_chunks):
+    # with column 3 constant, 3 has no left inverse, so the gyrator identity is
+    # undefined and the scan is done once the associativity witness is found
+    G = build_cyclic_gyrogroup(5)
+    cayley = G.cayley.copy()
+    cayley[:, 3] = 3
+    broken = FiniteGyrogroup(cayley, G.gyr_table, G.perm_matrix)
     report = verify(broken, exhaustive_limit=16, sample_size=4 << 20)
     assert report.sampled
     assoc = report.check("left_gyroassociativity")
     assert not assoc.passed and witness_confirms(broken, assoc)
     assert report.check("gyrator_identity").witness == (3,)
-    assert len(chunks) == 1
+    assert len(sample_chunks) == 1
+
+
+# -------------------------------------------------- sampled scan on workers
+
+
+SAMPLE = 1 << 20  # four chunks on one CPU, 8 on two, 32 on eight
+
+
+def _broken_cayley(x, y):
+    """The order-1024 construction with cayley[x, y] set to cayley[x, y+1],
+    which keeps every left inverse and breaks left cancellation."""
+    G = build_cyclic_gyrogroup(10)
+    cayley = G.cayley.copy()
+    cayley[x, y] = cayley[x, y + 1]
+    return FiniteGyrogroup(cayley, G.gyr_table, G.perm_matrix)
+
+
+# each case with the chunk of one CPU, 2^18 draws, that holds the first
+# failing draw of left gyroassociativity and of the gyrator identity; a
+# 2^18-chunk holds whole chunks of 2 and 8 CPUs
+SAMPLED = {
+    "first failure in chunk 0": (lambda: FiniteGyrogroup(build_cyclic_gyrogroup(10).cayley),
+                                 (0, 0)),
+    # draw 1,000,000 is (517, 436, 15)
+    "first failure in the last chunk": (lambda: _planted(10, [(517, 436, 15)]), (3, 3)),
+    "gyrator fails a chunk before gyroassociativity": (lambda: _broken_cayley(7, 100), (1, 0)),
+    "no left cancellation": (lambda: _broken_cayley(3, 5), (0, 1)),
+    "passing": (lambda: build_cyclic_gyrogroup(10), (None, None)),
+}
+
+
+@functools.cache
+def _sampled_case(case):
+    make, chunks = SAMPLED[case]
+    G = make()
+    reference = ref_sampled_witnesses(G, core.SAMPLE_SEED, SAMPLE)
+    assert [None if r is None else r[0] >> 18 for r in reference] == list(chunks)
+    return G, reference
+
+
+@pytest.mark.parametrize("scan_threads", [1, 2, 8], indirect=True,
+                         ids=["1 cpu", "2 cpus", "8 cpus"])
+@pytest.mark.parametrize("case", list(SAMPLED))
+def test_sampled_witnesses_match_reference(case, scan_threads):
+    G, reference = _sampled_case(case)
+    report = verify(G, sample_size=SAMPLE)
+    assert report.sampled
+    for name, expected in zip(("left_gyroassociativity", "gyrator_identity"), reference):
+        result = report.check(name)
+        assert result.witness == (None if expected is None else expected[1])
+        assert result.passed == (expected is None)
+    assert len(scan_threads) == len(os.sched_getaffinity(0)) - 1
+
+
+@pytest.mark.parametrize("scan_threads", [2, 8], indirect=True, ids=["2 cpus", "8 cpus"])
+def test_sampled_scan_draws_no_chunk_after_a_failing_one(scan_threads, sample_chunks):
+    # every chunk fails, so each worker stops after its first
+    G, (assoc_reference, _) = _sampled_case("first failure in chunk 0")
+    assoc, _ = core._sampled_triples(G, core.SAMPLE_SEED, SAMPLE)
+    assert assoc.witness == assoc_reference[1]
+    workers = len(scan_threads) + 1
+    assert workers == core._scan_workers(G.order) > 1
+    assert 1 <= len(sample_chunks) <= workers
+    assert set(sample_chunks) == {(core._SAMPLE_CHUNK // workers, 3)}
+
+
+def test_sampled_scan_error_in_a_worker_reaches_the_caller(scan_threads, monkeypatch):
+    caller = threading.current_thread()
+    worker_called = threading.Event()
+    law = core._gyroassoc_holds
+
+    def holds(*args):
+        if threading.current_thread() is not caller:
+            worker_called.set()
+            raise MemoryError("worker failed")
+        worker_called.wait(5)  # so a worker takes a chunk before the caller ends
+        return law(*args)
+
+    monkeypatch.setattr(core, "_gyroassoc_holds", holds)
+    with pytest.raises(MemoryError, match="worker failed"):
+        core._sampled_triples(build_cyclic_gyrogroup(10), core.SAMPLE_SEED, SAMPLE)
+
+
+@pytest.mark.parametrize("scan_threads", [2, 4, 8], indirect=True,
+                         ids=["2 cpus", "4 cpus", "8 cpus"])
+def test_sampled_scan_peak_memory_at_order_1024(scan_threads):
+    # the triples in flight stay one 2^18-chunk whatever the worker count; a
+    # 2^18-chunk per worker would not
+    G = build_cyclic_gyrogroup(10)
+    tracemalloc.start()
+    try:
+        assert all(r.passed for r in core._sampled_triples(G, core.SAMPLE_SEED, SAMPLE))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12.5e6
 
 
 # ------------------------------------------------------------- derived laws

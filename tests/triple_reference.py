@@ -44,3 +44,27 @@ def ref_gyrator_witness(G):
     if missing is not None:
         return missing
     return _first_triple_violation(G, lambda ab, a_bc, gyr_c: gyr_c == C[inv[ab], a_bc])
+
+
+def ref_sampled_witnesses(G, seed, size):
+    """The first failing draw of each triple law in a seeded sample of
+    ``size`` triples, as (draw, (a, b, c)), or None where the law holds at
+    every draw: left gyroassociativity, then the gyrator identity, which needs
+    every element to have a left inverse.  The whole sample is one int64 draw,
+    and each law is evaluated on its own."""
+    C = G.cayley
+    P = G.perm_matrix
+    Gy = G.gyr_table
+    abc = np.random.default_rng(seed).integers(0, G.order, size=(size, 3))
+    a, b, c = abc.T
+    zero = C == 0
+    assert zero.any(axis=0).all(), "an element has no left inverse"
+    inv = np.argmax(zero, axis=0)  # the smallest b with b ⊕ x = 0
+    ab = C[a, b]
+    a_bc = C[a, C[b, c]]
+    gyr_c = P[Gy[a, b], c]
+    witnesses = []
+    for ok in (a_bc == C[ab, gyr_c], gyr_c == C[inv[ab], a_bc]):
+        bad = np.flatnonzero(~ok)
+        witnesses.append((int(bad[0]), tuple(int(v) for v in abc[bad[0]])) if bad.size else None)
+    return tuple(witnesses)
