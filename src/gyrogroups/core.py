@@ -17,10 +17,19 @@ translation L_z, so with z = a ⊕ b, for every single triple
 
 that is, left gyroassociativity and the gyrator identity fail at the same
 triples and have the same smallest (or first sampled) witness.
+
+When moreover every referenced gyration is an automorphism that commutes
+with ⊖, `verify` scans only the smallest pair (a, b) of each class.  A class
+joins p to σ1(p) = (⊖a, a ⊕ b) and to σ2(p) = (a ⊕ b, ⊖gyr[a,b]b) where, at
+p and at σi(p) alike, gyr[σi(p)] is the stored inverse of gyr[p], and
+σ1(σ1(p)) = p, or (a ⊕ b) ⊕ ⊖gyr[a,b]b = a.  The law holds for every c at p
+exactly when it does at σi(p), so the smallest failing pair is the smallest
+of its class, and the witness is the same.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -61,10 +70,12 @@ _GYRATION_LIMIT = 1 << 16
 _MIN_ROWS_PER_WORKER = 120
 # The triples a sampled scan holds drawn at once, split among its workers.
 _SAMPLE_CHUNK = 1 << 18
-# An exhaustive triple scan takes the rows in blocks of at most this many
-# cells (a, c), the size of each temporary it holds for one b; at order 512
-# and below a block is the whole table.
+# The cells (a ⊕ (b ⊕ c) for one pair and one c) the workers of an exhaustive
+# triple scan hold at once, split among them; a worker's tallest block of rows
+# holds as many pairs per column.
 _BLOCK_CELLS = 1 << 18
+# The cells a second gather takes in the time of the Python work of one run.
+_RUN_CELLS = 1 << 12
 
 
 class GyrogroupDataError(ValueError):
@@ -400,10 +411,17 @@ def check_left_inverses(G: FiniteGyrogroup) -> CheckResult:
     return CheckResult("left_inverses", False, bad)
 
 
+def _used_gyrations(G: FiniteGyrogroup) -> np.ndarray:
+    """The indices of the gyrations the gyration table refers to, ascending."""
+    used = np.zeros(len(G.perm_matrix), dtype=bool)
+    used[G.gyr_table] = True
+    return np.flatnonzero(used)
+
+
 def check_gyr_automorphisms(G: FiniteGyrogroup) -> CheckResult:
     """Every referenced gyration respects ⊕; witness (k, x, y) for perms[k]."""
     C = G.cayley
-    for k in np.unique(G.gyr_table):
+    for k in _used_gyrations(G):
         p = G.perm_matrix[k]
         lhs = p[C]
         rhs = C[p[:, None], p[None, :]]
@@ -430,6 +448,71 @@ def _left_cancellation_holds(G: FiniteGyrogroup) -> bool:
     C = G.cayley
     inv = G.left_inverse_map()
     return bool((inv >= 0).all() and (C[inv[:, None], C] == np.arange(G.order)).all())
+
+
+def _pair_classes(G: FiniteGyrogroup) -> np.ndarray | None:
+    """The N×N mask of the pairs that are the smallest of their class (see the
+    module docstring), or None when some referenced gyration does not commute
+    with ⊖.  For tables with left cancellation and automorphic gyrations."""
+    N = G.order
+    C, Gy, P = G.cayley, G.gyr_table, G.perm_matrix
+    inv = G.left_inverse_map().astype(np.int32)
+    used = _used_gyrations(G)
+    if not (inv[P[used]] == P[used][:, inv]).all():
+        return None
+    # inverse[k]: the stored inverse of gyration k, or -1 where none is stored
+    stored = {key: k for k, key in enumerate(_row_keys(P).tolist())}
+    inverse = np.full(len(P), -1, dtype=np.int32)
+    inverses = _row_keys(np.argsort(P[used], axis=1).astype(P.dtype)).tolist()
+    inverse[used] = [stored.get(key, -1) for key in inverses]
+
+    # pair p = (a, b) is a·N + b, and the work goes in blocks of rows
+    step = max(1, _BLOCK_CELLS // (16 * N))
+    blocks = [(a0, min(a0 + step, N)) for a0 in range(0, N, step)]
+    columns = np.arange(N, dtype=np.int32)
+
+    def pairs(a0: int, a1: int) -> tuple[np.ndarray, np.ndarray]:
+        """The pairs p of rows a0..a1-1, and σ1(p)."""
+        a = np.arange(a0, a1, dtype=np.int32)[:, None]
+        return a * N + columns, inv[a] * N + C[a0:a1]
+
+    # known[i]: the facts for σi at p; near: σ2(p)
+    near = np.empty((N, N), dtype=np.int32)
+    known = np.empty((2, N, N), dtype=bool)
+    for a0, a1 in blocks:
+        a = np.arange(a0, a1, dtype=np.int32)[:, None]
+        _, s1 = pairs(a0, a1)
+        g = Gy[a0:a1]
+        # ⊖gyr[a,b]b from P at gyr[a,b]·N + b
+        near[a0:a1] = s2 = C[a0:a1] * N + inv[np.take(P, g * np.int32(N) + columns)]
+        inverse_g = inverse[g]
+        # σ1(σ1(p)) = (⊖⊖a, b) by left cancellation
+        np.logical_and(inv[inv[a]] == a, np.take(Gy, s1) == inverse_g, out=known[0, a0:a1])
+        np.logical_and(np.take(C, s2) == a, np.take(Gy, s2) == inverse_g, out=known[1, a0:a1])
+    # σ1 joins p to σ1(p) where `joins`, and σ2 joins p to near[p], which
+    # is p itself where it does not: the facts hold at both ends
+    joins = np.empty((N, N), dtype=bool)
+    for a0, a1 in blocks:
+        p, s1 = pairs(a0, a1)
+        joins[a0:a1] = known[0, a0:a1] & np.take(known[0], s1)
+        np.copyto(near[a0:a1], p, where=~(known[1, a0:a1] & np.take(known[1], near[a0:a1])))
+    del known
+    # each pair takes the smallest label among itself and its two neighbours
+    # until no label falls; the labels are then the smallest of each class
+    label = np.arange(N * N, dtype=np.int32).reshape(N, N)
+    falling = True
+    while falling:
+        falling = False
+        for a0, a1 in blocks:
+            p, s1 = pairs(a0, a1)
+            low = np.minimum(np.take(label, np.where(joins[a0:a1], s1, p)),
+                             np.take(label, near[a0:a1]))
+            if (low < label[a0:a1]).any():
+                np.minimum(label[a0:a1], np.take(label, low), out=label[a0:a1])
+                falling = True
+    del near, joins
+    smallest = label == np.arange(N * N, dtype=np.int32).reshape(N, N)
+    return smallest
 
 
 def _scan_workers(N: int) -> int:
@@ -468,30 +551,24 @@ def _run_workers(workers: int, work: Callable[[int], None], stop: Callable[[], N
         raise errors[0]
 
 
-def _first_triple_violation(G: FiniteGyrogroup, holds) -> tuple[int, ...] | None:
-    """Smallest (a, b, c) where a triple law is false.
+def _first_triple_violation(
+    G: FiniteGyrogroup, holds, pairs: np.ndarray | None = None
+) -> tuple[int, ...] | None:
+    """Smallest (a, b, c) where a triple law is false, over the pairs (a, b)
+    that the N×N mask ``pairs`` marks, or over all pairs.
 
-    ``holds(C, ab, a_bc)`` is the law's truth at the triples of some rows a
-    and one b with the same gyration P_k = gyr[a,b]: ``ab`` holds a ⊕ b by
-    row, ``a_bc`` holds a ⊕ (b ⊕ c) with c = P_k⁻¹(w) in column w, and C is
-    the Cayley table in its narrowest type.  Every stored gyration is a
-    bijection (the constructor checks it), so w = P_k(c) runs over the
-    elements as c does, and the law at (a, b, c) is the law at
-    (a, b, P_k⁻¹(w)).  Over every w, a ⊕ (b ⊕ P_k⁻¹(w)) is then one gather
-    of the rows a by an N-long index, and (a ⊕ b) ⊕ w is the Cayley row of
-    a ⊕ b.  The failing row is mapped back to the order of c through P_k.
-    Within a block of rows the b's go in order, each over the rows before
-    the smallest failing row so far.
+    ``holds(C, ab, a_bc)`` is the law's truth at some pairs: ``ab`` holds
+    a ⊕ b by pair, and ``a_bc`` holds a ⊕ (b ⊕ c) with c = P⁻¹(w) in column
+    w, P = gyr[a,b]; C is the Cayley table in its narrowest type.
 
-    The rows go in blocks of _BLOCK_CELLS // N.  The b's are cut into one
-    contiguous range per worker (`_scan_workers`), and each worker walks the
-    blocks of its range in order.  numpy's gathers and comparisons release
-    the GIL, so the ranges run at once.  A worker stops at the first block
-    with a violation and lowers a shared row bound, and every worker skips
-    the rows past it.  The bound never falls below the row a* of the
-    smallest witness, so the worker whose range holds that witness reaches
-    row a* and records it, and the smallest recorded witness is the answer
-    however the threads are scheduled.
+    Each worker (`_scan_workers`) takes a range of b's holding an equal share
+    of the pairs, and the rows in blocks of 1, 2, 4, … rows, at most
+    _BLOCK_CELLS // (N · workers).  A block's pairs go in runs of one b and
+    one P, a gather each, unless its columns hold too few pairs to pay for a
+    run each; then in runs of one P, a second gather each.  A worker stops
+    at its first block with a violation and lowers a shared limit a·N + b,
+    and every worker skips the pairs past it; the smallest recorded witness
+    is the answer however the threads run.
     """
     import threading
 
@@ -499,72 +576,90 @@ def _first_triple_violation(G: FiniteGyrogroup, holds) -> tuple[int, ...] | None
     C = G.cayley.astype(np.min_scalar_type(N - 1))
     P = G.perm_matrix
     Gy = G.gyr_table
-    height = max(1, _BLOCK_CELLS // N)
     workers = _scan_workers(N)
-    bounds = [N * w // workers for w in range(workers + 1)]
+    most = max(1, _BLOCK_CELLS // (N * workers))  # pairs per gather, rows per block
+    piece = max(1, _BLOCK_CELLS // (8 * N))  # pairs per flat index of a second gather
+    # b-ranges with equal shares of the pairs to scan
+    share = np.cumsum(np.ones(N) if pairs is None else pairs.sum(axis=0))
+    bounds = [0, *(np.searchsorted(share, share[-1] * np.arange(1, workers) / workers) + 1), N]
     lock = threading.Lock()
     found: list[tuple[int, ...]] = []
-    last_row = N - 1
+    limit = N * N  # no pair at a·N + b >= limit holds the smallest witness
 
-    def column_violation(a0: int, a1: int, b: int) -> tuple[int, int] | None:
-        """(a, c) of the smallest failing row a in a0..a1-1 of column b, or None."""
-        # the rows in order of their gyration, a run of rows per gyration; the
-        # sort is stable, so a single run is the rows as they stand
-        order = np.argsort(Gy[a0:a1, b], kind="stable")
-        gyr = Gy[a0:a1, b][order]
-        runs = [0, *(np.flatnonzero(gyr[1:] != gyr[:-1]) + 1).tolist(), len(gyr)]
-        index = np.empty(N, dtype=np.intp)
-        a_bc = np.empty((len(gyr), N), dtype=C.dtype)
-        for s, e in zip(runs, runs[1:]):
-            index[P[gyr[s]]] = C[b]  # index[w] = b ⊕ P_k⁻¹(w)
-            rows = slice(a0, a1) if len(runs) == 2 else a0 + order[s:e]
-            # the indices are in range, and "clip" writes to out unbuffered
-            np.take(C[rows], index, axis=1, out=a_bc[s:e], mode="clip")
-        ok = holds(C, C[a0:a1, b][order], a_bc)
+    def chunk_violation(a: np.ndarray, b: np.ndarray, by_column: bool) -> tuple[int, ...] | None:
+        """Smallest failing (a, b, c) among the pairs (a[i], b[i]), or None."""
+        gyr, k = np.unique(Gy[a, b], return_inverse=True)
+        # runs of one b and one gyration P, or of one P
+        order = np.lexsort((k, b)) if by_column else np.argsort(k, kind="stable")
+        a, b, k = a[order], b[order], k[order]
+        run = b * len(gyr) + k if by_column else k
+        starts = np.concatenate(([0], np.flatnonzero(run[1:] != run[:-1]) + 1))
+        ends = [*starts[1:].tolist(), len(a)]
+        w = np.argsort(P[gyr], axis=1)[k[starts]]  # column w of a run holds c = P⁻¹(w)
+        a_bc = np.empty((len(a), N), dtype=C.dtype)
+        # the indices are in range, and "clip" writes to out unbuffered
+        if by_column:  # a ⊕ (b ⊕ P⁻¹(w)) by the run's one index b ⊕ P⁻¹(w)
+            for s, e, i in zip(starts.tolist(), ends, C[b[starts][:, None], w]):
+                np.take(C[a[s:e]], i, axis=1, out=a_bc[s:e], mode="clip")
+        else:  # b ⊕ P⁻¹(w), then a ⊕ that in the flat table
+            for s, e, i in zip(starts.tolist(), ends, w):
+                np.take(C[b[s:e]], i, axis=1, out=a_bc[s:e], mode="clip")
+            for s in range(0, len(a), piece):
+                cell = np.add(a_bc[s:s + piece], (a[s:s + piece] * N)[:, None], dtype=np.intp)
+                np.take(C, cell, out=a_bc[s:s + piece], mode="clip")
+        ok = holds(C, C[a, b], a_bc)
         if ok.all():
             return None
-        failing = np.flatnonzero(~ok.all(axis=1))
-        j = failing[np.argmin(order[failing])]
-        return a0 + int(order[j]), int(np.argmin(ok[j][P[gyr[j]]]))
+        bad = np.flatnonzero(~ok.all(axis=1))
+        i = bad[np.argmin(a[bad] * N + b[bad])]
+        return int(a[i]), int(b[i]), int(np.argmin(ok[i][P[gyr[k[i]]]]))
 
     def block_violation(a0: int, a1: int, lo: int, hi: int) -> tuple[int, ...] | None:
+        chosen = np.ones((a1 - a0, hi - lo), dtype=bool) if pairs is None else pairs[a0:a1, lo:hi]
+        by_column = chosen.sum() * N >= chosen.any(axis=0).sum() * _RUN_CELLS
+        ends = np.cumsum(chosen.sum(axis=0)).tolist()
         best = None
-        for b in range(lo, hi):
-            a1 = min(a1, last_row + 1)
-            if a1 <= a0:
-                break
-            bad = column_violation(a0, a1, b)
-            if bad is not None:
-                best = (bad[0], b, bad[1])
-                a1 = bad[0]  # later b's only search the rows before it
+        j0 = 0
+        while j0 < len(ends):
+            # whole columns with at most `most` pairs
+            j1 = bisect.bisect_right(ends, (ends[j0 - 1] if j0 else 0) + most)
+            column, row = np.nonzero(chosen[:, j0:j1].T)
+            a, b = a0 + row, lo + j0 + column
+            keep = a * N + b < min(limit, N * N if best is None else best[0] * N + best[1])
+            if keep.any():
+                bad = chunk_violation(a[keep], b[keep], by_column)
+                best = bad if best is None or (bad and bad < best) else best
+            j0 = j1
         return best
 
     def scan(w: int) -> None:
-        nonlocal last_row
-        for a0 in range(0, N, height):
-            if a0 > last_row:
-                return
+        nonlocal limit
+        a0, height = 0, 1
+        while a0 < N and a0 * N < limit:
             bad = block_violation(a0, min(a0 + height, N), bounds[w], bounds[w + 1])
             if bad is not None:
                 with lock:
                     found.append(bad)
-                    last_row = min(last_row, bad[0])
+                    limit = min(limit, bad[0] * N + bad[1])
                 return
+            a0, height = a0 + height, min(2 * height, most)
 
     def stop() -> None:
-        nonlocal last_row
+        nonlocal limit
         with lock:
-            last_row = -1
+            limit = -1
 
     _run_workers(workers, scan, stop)
     return min(found, default=None)
 
 
-def _first_gyroassoc_violation(G: FiniteGyrogroup) -> tuple[int, ...] | None:
+def _first_gyroassoc_violation(
+    G: FiniteGyrogroup, pairs: np.ndarray | None = None
+) -> tuple[int, ...] | None:
     """Smallest (a, b, c) where left gyroassociativity fails."""
     # (a ⊕ b) ⊕ w over every w is the whole Cayley row of a ⊕ b
     return _first_triple_violation(
-        G, lambda C, ab, a_bc: _gyroassoc_holds(C, ab, a_bc, slice(None))
+        G, lambda C, ab, a_bc: _gyroassoc_holds(C, ab, a_bc, slice(None)), pairs
     )
 
 
@@ -576,9 +671,15 @@ def _first_gyrator_violation(G: FiniteGyrogroup, inv: np.ndarray) -> tuple[int, 
     )
 
 
-def check_left_gyroassociativity(G: FiniteGyrogroup) -> CheckResult:
-    """a ⊕ (b ⊕ c) = (a ⊕ b) ⊕ gyr[a,b]c over all triples; witness (a, b, c)."""
-    bad = _first_gyroassoc_violation(G)
+def check_left_gyroassociativity(
+    G: FiniteGyrogroup, *, pairs: np.ndarray | None = None
+) -> CheckResult:
+    """a ⊕ (b ⊕ c) = (a ⊕ b) ⊕ gyr[a,b]c over all triples; witness (a, b, c).
+
+    `verify` passes ``pairs``, the smallest pair of each class (see the module
+    docstring), where the classes apply; the scan then takes only those.
+    """
+    bad = _first_gyroassoc_violation(G, pairs)
     return CheckResult("left_gyroassociativity", bad is None, bad)
 
 
@@ -604,19 +705,20 @@ def check_gyrator_identity(G: FiniteGyrogroup) -> CheckResult:
 
     Otherwise the identity gets a row scan of its own.
     """
-    return _gyrator_identity(G, None)
+    return _gyrator_identity(G, None, _left_cancellation_holds(G))
 
 
-def _gyrator_identity(G: FiniteGyrogroup, assoc: CheckResult | None) -> CheckResult:
-    """`check_gyrator_identity`, reusing ``assoc``, a left gyroassociativity
-    result over the same triples, when one is at hand."""
+def _gyrator_identity(G: FiniteGyrogroup, assoc: CheckResult | None, cancels: bool) -> CheckResult:
+    """`check_gyrator_identity`, given whether left cancellation holds, and
+    reusing ``assoc``, a left gyroassociativity result over the same
+    triples, when one is at hand."""
     inv = G.left_inverse_map()
     missing = _first_false(inv >= 0)
     if missing is not None:
         return CheckResult(
             "gyrator_identity", False, missing, note="no left inverse, formula undefined"
         )
-    if _left_cancellation_holds(G):
+    if cancels:
         return replace(assoc or check_left_gyroassociativity(G), name="gyrator_identity")
     bad = _first_gyrator_violation(G, inv)
     return CheckResult("gyrator_identity", bad is None, bad)
@@ -650,9 +752,10 @@ class _FlatTable:
 
 
 def _sampled_triples(
-    G: FiniteGyrogroup, seed: int, sample_size: int
+    G: FiniteGyrogroup, seed: int, sample_size: int, cancels: bool
 ) -> tuple[CheckResult, CheckResult]:
-    """Seeded-sample versions of the two triple checks for large orders.
+    """Seeded-sample versions of the two triple checks for large orders, given
+    whether left cancellation holds.
 
     The sample is drawn from ``default_rng(seed)`` in chunks of
     _SAMPLE_CHUNK // workers triples (`_scan_workers`), so the triples held
@@ -672,7 +775,7 @@ def _sampled_triples(
     laws = [lambda ab, a_bc, gyr_c: _gyroassoc_holds(C, ab, a_bc, gyr_c)]
     # otherwise the gyrator identity is undefined, or the associativity
     # witness decides it (see the module docstring)
-    scan_gyrator = bool((inv >= 0).all()) and not _left_cancellation_holds(G)
+    scan_gyrator = bool((inv >= 0).all()) and not cancels
     if scan_gyrator:
         laws.append(lambda ab, a_bc, gyr_c: _gyrator_holds(C, inv, ab, a_bc, gyr_c))
     # (chunk, witness) of each law's earliest failing chunk so far
@@ -734,7 +837,7 @@ def _sampled_triples(
     note = "sampled"
     assoc = CheckResult("left_gyroassociativity", first[0] is None, witness[0], note=note)
     if not scan_gyrator:
-        return assoc, _gyrator_identity(G, assoc)
+        return assoc, _gyrator_identity(G, assoc, cancels)
     gyrator = CheckResult("gyrator_identity", first[1] is None, witness[1], note=note)
     return assoc, gyrator
 
@@ -771,15 +874,19 @@ def verify(
 
     Orders above ``exhaustive_limit`` replace the full triple scans with
     ``sample_size`` seeded pseudo-random triples and label the report sampled.
-    One triple scan serves both triple laws when left cancellation holds.
+    One triple scan serves both triple laws when left cancellation holds, and
+    it scans one pair per class when the gyrations are automorphisms too.
     """
     results = [check(G) for check in _PAIR_CHECKS]
+    cancels = _left_cancellation_holds(G)
     sampled = G.order > exhaustive_limit
     if sampled:
-        assoc, gyrator = _sampled_triples(G, seed, sample_size)
+        assoc, gyrator = _sampled_triples(G, seed, sample_size, cancels)
     else:
-        assoc = check_left_gyroassociativity(G)
-        gyrator = _gyrator_identity(G, assoc)
+        automorphic = all(r.passed for r in results if r.name == "gyrations_are_automorphisms")
+        pairs = _pair_classes(G) if cancels and automorphic else None
+        assoc = check_left_gyroassociativity(G, pairs=pairs)
+        gyrator = _gyrator_identity(G, assoc, cancels)
     results += [assoc, check_loop_property(G), gyrator, check_gyrocommutative(G)]
     return VerificationReport(
         checks=tuple(results),

@@ -27,12 +27,18 @@ from gyrogroups import (
     check_loop_property,
     check_right_translations,
     cyclic_group,
+    dihedral_group,
     inverse_of,
     verify,
 )
 
 from formats_reference import ref_left_translations, ref_right_translations
-from triple_reference import ref_gyrator_witness, ref_gyroassoc_witness, ref_sampled_witnesses
+from triple_reference import (
+    ref_class_minima,
+    ref_gyrator_witness,
+    ref_gyroassoc_witness,
+    ref_sampled_witnesses,
+)
 from witness_checks import witness_confirms
 
 
@@ -304,7 +310,8 @@ def test_triple_witnesses_match_reference(case):
         _assert_triple_witnesses(G)
 
 
-def test_verify_scans_the_triples_once_with_left_cancellation(monkeypatch):
+def _counting_laws(monkeypatch):
+    """The number of triples each call of a triple law evaluates, as a list."""
     counted = []
     for name in ("_gyroassoc_holds", "_gyrator_holds"):
         law = getattr(core, name)
@@ -315,9 +322,141 @@ def test_verify_scans_the_triples_once_with_left_cancellation(monkeypatch):
             return ok
 
         monkeypatch.setattr(core, name, counting)
+    return counted
+
+
+def test_verify_scans_the_triples_once_with_left_cancellation(monkeypatch):
+    counted = _counting_laws(monkeypatch)
     G = build_cyclic_gyrogroup(5)
     assert verify(G).passed
-    assert sum(counted) == G.order**3
+    # one pair per class, all of its c's
+    classes = ref_class_minima(G)
+    assert len(classes) == 155
+    assert sum(counted) == len(classes) * G.order
+    # x ⊕ y = y holds the law at every triple but has no left cancellation,
+    # so every triple is scanned, and the gyrator identity is undefined
+    counted.clear()
+    right_zero = FiniteGyrogroup(np.tile(np.arange(32), (32, 1)))
+    report = verify(right_zero)
+    assert report.check("left_gyroassociativity").passed
+    assert report.check("gyrator_identity").witness == (1,)
+    assert sum(counted) == 32**3
+
+
+# ------------------------------------------------------------- pair classes
+
+
+def _class_spy(monkeypatch):
+    """The masks `_pair_classes` returns, as a list."""
+    masks = []
+    pair_classes = core._pair_classes
+
+    def spy(G):
+        masks.append(pair_classes(G))
+        return masks[-1]
+
+    monkeypatch.setattr(core, "_pair_classes", spy)
+    return masks
+
+
+def _assert_class_scan_matches_reference(G, monkeypatch):
+    """`verify` takes the class scan on G and gives the reference witnesses."""
+    masks = _class_spy(monkeypatch)
+    report = verify(G)
+    assert len(masks) == 1 and masks[0] is not None
+    assert set(map(tuple, np.argwhere(masks[0]).tolist())) == ref_class_minima(G)
+    for name, reference in (("left_gyroassociativity", ref_gyroassoc_witness),
+                            ("gyrator_identity", ref_gyrator_witness)):
+        result = report.check(name)
+        assert result.witness == reference(G)
+        if not result.passed:
+            assert witness_confirms(G, result)
+
+
+def _conjugations(table):
+    """The inner automorphisms x ↦ g ⊕ x ⊕ g⁻¹ of a group table, one per g."""
+    inverse = np.argmax(table == 0, axis=0)
+    return [table[table[g], inverse[g]] for g in range(len(table))]
+
+
+def _gyration_mutations(n, seed):
+    """The order-2^n construction, then copies with gyr[a,b] switched to the
+    other stored gyration at a few random pairs; both gyrations are
+    automorphisms that commute with ⊖, so the class scan applies."""
+    G = build_cyclic_gyrogroup(n)
+    yield G
+    rng = np.random.default_rng(seed)
+    for cells in (1, 1, 2, 5):
+        gyr = np.array(G.gyr_table)
+        for a, b in rng.integers(0, G.order, size=(cells, 2)):
+            gyr[a, b] ^= 1
+        yield FiniteGyrogroup(G.cayley, gyr, G.perm_matrix)
+
+
+def _random_conjugations(sides, seed):
+    """D_sides with the identity gyration, then with a random conjugation per pair."""
+    table = dihedral_group(sides)
+    yield FiniteGyrogroup.from_group(table)
+    rng = np.random.default_rng(seed)
+    gyr = rng.integers(0, len(table), size=table.shape)
+    yield FiniteGyrogroup(table, gyr, _conjugations(table))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_class_scan_matches_reference_on_gyration_mutations(n, monkeypatch):
+    for G in _gyration_mutations(n, n):
+        with monkeypatch.context() as patch:
+            _assert_class_scan_matches_reference(G, patch)
+
+
+@pytest.mark.parametrize("sides", [4, 5, 6, 7, 8])
+def test_class_scan_matches_reference_on_dihedral_conjugations(sides, monkeypatch):
+    for G in _random_conjugations(sides, sides):
+        with monkeypatch.context() as patch:
+            _assert_class_scan_matches_reference(G, patch)
+
+
+@st.composite
+def class_tables(draw):
+    """Tables the class scan applies to: Z_n with gyrations x ↦ ux for units
+    u, D_m with conjugations, or a small construction with its two
+    gyrations; each pair gets the identity, or now and then another one."""
+    kind = draw(st.sampled_from(["cyclic", "dihedral", "construction"]))
+    if kind == "cyclic":
+        n = draw(st.integers(2, 16))
+        table = cyclic_group(n)
+        autos = [(u * np.arange(n)) % n for u in range(1, n) if np.gcd(u, n) == 1]
+    elif kind == "dihedral":
+        table = dihedral_group(draw(st.integers(3, 7)))
+        autos = _conjugations(table)
+    else:
+        G = build_cyclic_gyrogroup(draw(st.integers(3, 4)))
+        table, autos = G.cayley, list(G.perm_matrix)
+    N = len(table)
+    perms = [np.arange(N)] + draw(st.lists(st.sampled_from(autos), max_size=3))
+    k = st.integers(0, len(perms) - 1)
+    if draw(st.booleans()):
+        gyr = np.array(draw(st.lists(k, min_size=N * N, max_size=N * N)))
+    else:
+        gyr = np.zeros(N * N, dtype=np.int64)
+        for cell, v in draw(st.lists(st.tuples(st.integers(0, N * N - 1), k), max_size=4)):
+            gyr[cell] = v
+    return FiniteGyrogroup(table, gyr.reshape(N, N), perms)
+
+
+@given(class_tables())
+@settings(max_examples=200, deadline=None)
+def test_class_scan_matches_reference_on_random_tables(G):
+    with pytest.MonkeyPatch.context() as patch:
+        _assert_class_scan_matches_reference(G, patch)
+
+
+def test_pair_classes_need_gyrations_that_commute_with_inversion():
+    # the swap of 1 and 2 on Z_4 takes ⊖1 = 3 to 3, not to ⊖2 = 2
+    swap = FiniteGyrogroup(cyclic_group(4), np.zeros((4, 4), dtype=int), [[0, 2, 1, 3]])
+    assert core._pair_classes(swap) is None
+    z4 = FiniteGyrogroup.from_group(cyclic_group(4))
+    assert core._pair_classes(z4).sum() == len(ref_class_minima(z4))
 
 
 # ------------------------------------------------------ threaded triple scans
@@ -534,6 +673,55 @@ def test_scan_peak_memory_at_order_512(monkeypatch):
         assert peak <= 3.5e6
 
 
+@pytest.mark.parametrize("cpus", [2, 4])
+def test_scan_peak_memory_without_classes_at_order_512(monkeypatch, cpus):
+    # a gyration that is no automorphism keeps `verify` off the class scan;
+    # the workers share one budget of cells, so the peak does not grow with them
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    G = _planted(9, PLANTED["row N-1"])
+    assert not check_gyr_automorphisms(G).passed
+    tracemalloc.start()
+    try:
+        result = check_left_gyroassociativity(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.witness == (511, 300, 3)
+    assert peak <= 3.5e6
+
+
+def test_class_scan_peak_memory_at_order_512(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    G = build_cyclic_gyrogroup(9)
+    gyr = np.array(G.gyr_table)
+    gyr[511, 0] ^= 1
+    for table in (G, FiniteGyrogroup(G.cayley, gyr, G.perm_matrix)):
+        np.unique(table.gyr_table)  # numpy's first unique call keeps a cache
+        tracemalloc.start()
+        try:
+            pairs = core._pair_classes(table)
+            result = check_left_gyroassociativity(table, pairs=pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.witness == (None if table is G else (511, 0, 1))
+        assert peak <= 3.5e6
+
+
+@pytest.mark.parametrize("classes", [False, True], ids=["all pairs", "classes"])
+def test_witness_in_row_0_is_found_in_the_first_rows(classes, scan_threads, monkeypatch):
+    # the rows go in blocks of 1, 2, 4, ..., so a witness in row 0 and a late
+    # column stops the scan within the first rows, whichever worker is late
+    G = build_cyclic_gyrogroup(9)
+    gyr = np.array(G.gyr_table)
+    gyr[0, 500] ^= 1
+    G = FiniteGyrogroup(G.cayley, gyr, G.perm_matrix)
+    pairs = core._pair_classes(G) if classes else None
+    counted = _counting_laws(monkeypatch)
+    assert check_left_gyroassociativity(G, pairs=pairs).witness == (0, 500, 1)
+    assert sum(counted) <= 32 * G.order**2
+
+
 def test_gyrocommutative(g3, z8, dih8):
     assert check_gyrocommutative(g3).passed
     assert check_gyrocommutative(z8).passed
@@ -696,7 +884,8 @@ def test_sampled_witnesses_match_reference(case, scan_threads):
 def test_sampled_scan_draws_no_chunk_after_a_failing_one(scan_threads, sample_chunks):
     # every chunk fails, so each worker stops after its first
     G, (assoc_reference, _) = _sampled_case("first failure in chunk 0")
-    assoc, _ = core._sampled_triples(G, core.SAMPLE_SEED, SAMPLE)
+    cancels = core._left_cancellation_holds(G)
+    assoc, _ = core._sampled_triples(G, core.SAMPLE_SEED, SAMPLE, cancels)
     assert assoc.witness == assoc_reference[1]
     workers = len(scan_threads) + 1
     assert workers == core._scan_workers(G.order) > 1
@@ -718,7 +907,7 @@ def test_sampled_scan_error_in_a_worker_reaches_the_caller(scan_threads, monkeyp
 
     monkeypatch.setattr(core, "_gyroassoc_holds", holds)
     with pytest.raises(MemoryError, match="worker failed"):
-        core._sampled_triples(build_cyclic_gyrogroup(10), core.SAMPLE_SEED, SAMPLE)
+        core._sampled_triples(build_cyclic_gyrogroup(10), core.SAMPLE_SEED, SAMPLE, True)
 
 
 @pytest.mark.parametrize("scan_threads", [2, 4, 8], indirect=True,
@@ -727,9 +916,10 @@ def test_sampled_scan_peak_memory_at_order_1024(scan_threads):
     # the triples in flight stay one 2^18-chunk whatever the worker count; a
     # 2^18-chunk per worker would not
     G = build_cyclic_gyrogroup(10)
+    cancels = core._left_cancellation_holds(G)
     tracemalloc.start()
     try:
-        assert all(r.passed for r in core._sampled_triples(G, core.SAMPLE_SEED, SAMPLE))
+        assert all(r.passed for r in core._sampled_triples(G, core.SAMPLE_SEED, SAMPLE, cancels))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -3,8 +3,11 @@
 Each law is evaluated on its own over every triple, with the Cayley lookups
 written as plain two-dimensional fancy indexing and the smallest failure taken
 by ``np.argwhere``.  This serves only to check the row-gather kernel and the
-gyrator shortcut in ``gyrogroups.core``.
+gyrator shortcut in ``gyrogroups.core``; ``ref_class_minima`` checks its
+pair classes.
 """
+
+import itertools
 
 import numpy as np
 
@@ -68,3 +71,47 @@ def ref_sampled_witnesses(G, seed, size):
         bad = np.flatnonzero(~ok)
         witnesses.append((int(bad[0]), tuple(int(v) for v in abc[bad[0]])) if bad.size else None)
     return tuple(witnesses)
+
+
+def ref_class_minima(G):
+    """The smallest pair (a, b) of each class, found by a union-find over
+    tuples: p = (a, b) is joined to σ1(p) = (⊖a, a ⊕ b) when σ1(σ1(p)) = p,
+    and to σ2(p) = (a ⊕ b, ⊖gyr[a,b]b) when (a ⊕ b) ⊕ ⊖gyr[a,b]b = a, in
+    each case only if gyr[σi(p)] is the stored inverse of gyr[p] and the
+    same holds at σi(p).  For tables with left inverses."""
+    N = G.order
+    C = G.cayley.tolist()
+    gyr = G.gyr_table.tolist()
+    perms = [tuple(p) for p in G.perm_matrix.tolist()]
+    index = {p: k for k, p in enumerate(perms)}
+    inverse = [index.get(tuple(sorted(range(N), key=p.__getitem__))) for p in perms]
+    inv = [min(b for b in range(N) if C[b][x] == 0) for x in range(N)]
+
+    def sigma1(a, b):
+        return inv[a], C[a][b]
+
+    def sigma2(a, b):
+        return C[a][b], inv[perms[gyr[a][b]][b]]
+
+    def facts(p, sigma):
+        q = sigma(*p)
+        if gyr[q[0]][q[1]] != inverse[gyr[p[0]][p[1]]]:
+            return False
+        if sigma is sigma1:
+            return sigma1(*q) == p
+        return C[q[0]][q[1]] == p[0]
+
+    parent = {}
+
+    def root(p):
+        while parent.get(p, p) != p:
+            p = parent[p]
+        return p
+
+    for p in itertools.product(range(N), repeat=2):
+        for sigma in (sigma1, sigma2):
+            q = sigma(*p)
+            if facts(p, sigma) and facts(q, sigma):
+                r, s = root(p), root(q)
+                parent[max(r, s)] = min(r, s)
+    return {p for p in itertools.product(range(N), repeat=2) if root(p) == p}
