@@ -29,7 +29,7 @@ of its class, and the witness is the same.
 
 from __future__ import annotations
 
-import bisect
+import functools
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -71,11 +71,9 @@ _MIN_ROWS_PER_WORKER = 120
 # The triples a sampled scan holds drawn at once, split among its workers.
 _SAMPLE_CHUNK = 1 << 18
 # The cells (a ⊕ (b ⊕ c) for one pair and one c) the workers of an exhaustive
-# triple scan hold at once, split among them; a worker's tallest block of rows
-# holds as many pairs per column.
-_BLOCK_CELLS = 1 << 18
-# The cells a second gather takes in the time of the Python work of one run.
-_RUN_CELLS = 1 << 12
+# triple scan hold at once, split among them: a worker takes the rows in
+# blocks of _BLOCK_CELLS // (N · workers), one b at a time.
+_BLOCK_CELLS = 1 << 19
 
 
 class GyrogroupDataError(ValueError):
@@ -231,6 +229,7 @@ class FiniteGyrogroup:
         self._perm_matrix.setflags(write=False)
         self._perms: tuple[Permutation, ...] | None = None
         self._inverse_map: np.ndarray | None = None
+        self._facts: dict[Callable, object] = {}  # see `_per_group`
 
     @classmethod
     def from_group(cls, cayley) -> "FiniteGyrogroup":
@@ -418,14 +417,26 @@ def _used_gyrations(G: FiniteGyrogroup) -> np.ndarray:
     return np.flatnonzero(used)
 
 
+def _per_group(compute: Callable[[FiniteGyrogroup], object]):
+    """``compute(G)``, computed on the first call for each G and then kept on
+    it: its tables never change."""
+
+    @functools.wraps(compute)
+    def once(G: FiniteGyrogroup):
+        if compute not in G._facts:
+            G._facts[compute] = compute(G)
+        return G._facts[compute]
+
+    return once
+
+
+@_per_group
 def check_gyr_automorphisms(G: FiniteGyrogroup) -> CheckResult:
     """Every referenced gyration respects ⊕; witness (k, x, y) for perms[k]."""
     C = G.cayley
     for k in _used_gyrations(G):
         p = G.perm_matrix[k]
-        lhs = p[C]
-        rhs = C[p[:, None], p[None, :]]
-        bad = _first_false(lhs == rhs)
+        bad = _first_false(p[C] == C[p[:, None], p[None, :]])
         if bad is not None:
             return CheckResult("gyrations_are_automorphisms", False, (int(k), *bad))
     return CheckResult("gyrations_are_automorphisms", True)
@@ -443,6 +454,7 @@ def _gyrator_holds(C, inv, ab, a_bc, gyr_c) -> np.ndarray:
     return gyr_c == C[inv[ab], a_bc]
 
 
+@_per_group
 def _left_cancellation_holds(G: FiniteGyrogroup) -> bool:
     """⊖x ⊕ (x ⊕ y) = y for all x, y; false when some element has no left inverse."""
     C = G.cayley
@@ -452,8 +464,11 @@ def _left_cancellation_holds(G: FiniteGyrogroup) -> bool:
 
 def _pair_classes(G: FiniteGyrogroup) -> np.ndarray | None:
     """The N×N mask of the pairs that are the smallest of their class (see the
-    module docstring), or None when some referenced gyration does not commute
-    with ⊖.  For tables with left cancellation and automorphic gyrations."""
+    module docstring), or None where the classes do not apply: without left
+    cancellation, or where some referenced gyration is no automorphism or
+    does not commute with ⊖."""
+    if not (_left_cancellation_holds(G) and check_gyr_automorphisms(G).passed):
+        return None
     N = G.order
     C, Gy, P = G.cayley, G.gyr_table, G.perm_matrix
     inv = G.left_inverse_map().astype(np.int32)
@@ -467,7 +482,7 @@ def _pair_classes(G: FiniteGyrogroup) -> np.ndarray | None:
     inverse[used] = [stored.get(key, -1) for key in inverses]
 
     # pair p = (a, b) is a·N + b, and the work goes in blocks of rows
-    step = max(1, _BLOCK_CELLS // (16 * N))
+    step = max(1, _BLOCK_CELLS // (32 * N))
     blocks = [(a0, min(a0 + step, N)) for a0 in range(0, N, step)]
     columns = np.arange(N, dtype=np.int32)
 
@@ -476,42 +491,54 @@ def _pair_classes(G: FiniteGyrogroup) -> np.ndarray | None:
         a = np.arange(a0, a1, dtype=np.int32)[:, None]
         return a * N + columns, inv[a] * N + C[a0:a1]
 
-    # known[i]: the facts for σi at p; near: σ2(p)
-    near = np.empty((N, N), dtype=np.int32)
-    known = np.empty((2, N, N), dtype=bool)
-    for a0, a1 in blocks:
-        a = np.arange(a0, a1, dtype=np.int32)[:, None]
-        _, s1 = pairs(a0, a1)
-        g = Gy[a0:a1]
-        # ⊖gyr[a,b]b from P at gyr[a,b]·N + b
-        near[a0:a1] = s2 = C[a0:a1] * N + inv[np.take(P, g * np.int32(N) + columns)]
-        inverse_g = inverse[g]
-        # σ1(σ1(p)) = (⊖⊖a, b) by left cancellation
-        np.logical_and(inv[inv[a]] == a, np.take(Gy, s1) == inverse_g, out=known[0, a0:a1])
-        np.logical_and(np.take(C, s2) == a, np.take(Gy, s2) == inverse_g, out=known[1, a0:a1])
-    # σ1 joins p to σ1(p) where `joins`, and σ2 joins p to near[p], which
-    # is p itself where it does not: the facts hold at both ends
+    # joins[p]: σ1's facts hold at p, and so at σ1(p), inv being a bijection;
+    # near[p]: σ2(p); held[p]: σ2's facts hold at p
     joins = np.empty((N, N), dtype=bool)
-    for a0, a1 in blocks:
-        p, s1 = pairs(a0, a1)
-        joins[a0:a1] = known[0, a0:a1] & np.take(known[0], s1)
-        np.copyto(near[a0:a1], p, where=~(known[1, a0:a1] & np.take(known[1], near[a0:a1])))
-    del known
-    # each pair takes the smallest label among itself and its two neighbours
-    # until no label falls; the labels are then the smallest of each class
+    near = np.empty((N, N), dtype=np.int32)
+    held = np.empty((N, N), dtype=bool)
+
+    def facts(a0: int, a1: int) -> None:
+        a = np.arange(a0, a1, dtype=np.int32)[:, None]
+        g = Gy[a0:a1]
+        inverse_g = inverse[g]
+        # ⊖gyr[a,b]b from P at gyr[a,b]·N + b
+        s2 = C[a0:a1] * N + inv[np.take(P, np.multiply(g, N, dtype=np.int32) + columns)]
+        near[a0:a1] = s2
+        # σ1(σ1(p)) = (⊖⊖a, b) by left cancellation
+        s1 = pairs(a0, a1)[1]
+        np.logical_and(inv[inv[a]] == a, np.take(Gy, s1) == inverse_g, out=joins[a0:a1])
+        np.logical_and(np.take(C, s2) == a, np.take(Gy, s2) == inverse_g, out=held[a0:a1])
+
+    def unjoin(a0: int, a1: int) -> None:
+        """near[p] = p where σ2's facts fail at p or at σ2(p)."""
+        both = held[a0:a1] & np.take(held, near[a0:a1])
+        np.copyto(near[a0:a1], pairs(a0, a1)[0], where=~both)
+
+    for block in blocks:
+        facts(*block)
+    for block in blocks:
+        unjoin(*block)
+    del held
     label = np.arange(N * N, dtype=np.int32).reshape(N, N)
-    falling = True
-    while falling:
-        falling = False
-        for a0, a1 in blocks:
-            p, s1 = pairs(a0, a1)
-            low = np.minimum(np.take(label, np.where(joins[a0:a1], s1, p)),
-                             np.take(label, near[a0:a1]))
-            if (low < label[a0:a1]).any():
-                np.minimum(label[a0:a1], np.take(label, low), out=label[a0:a1])
-                falling = True
+
+    def sweep(a0: int, a1: int) -> bool:
+        """Each pair of rows a0..a1-1 takes the smallest label among itself and
+        its two neighbours, then the label at that one; whether one fell."""
+        p, s1 = pairs(a0, a1)
+        low = np.minimum(np.take(label, np.where(joins[a0:a1], s1, p)),
+                         np.take(label, near[a0:a1]))
+        if not (low < label[a0:a1]).any():
+            return False
+        np.minimum(label[a0:a1], np.take(label, low), out=label[a0:a1])
+        return True
+
+    # until a sweep lowers no label; the labels are then the smallest of each class
+    while sum(sweep(*block) for block in blocks):
+        pass
     del near, joins
-    smallest = label == np.arange(N * N, dtype=np.int32).reshape(N, N)
+    smallest = np.empty((N, N), dtype=bool)
+    for a0, a1 in blocks:
+        np.equal(label[a0:a1], pairs(a0, a1)[0], out=smallest[a0:a1])
     return smallest
 
 
@@ -552,23 +579,26 @@ def _run_workers(workers: int, work: Callable[[int], None], stop: Callable[[], N
 
 
 def _first_triple_violation(
-    G: FiniteGyrogroup, holds, pairs: np.ndarray | None = None
+    G: FiniteGyrogroup, holds, pairs: Callable[[], np.ndarray | None] = lambda: None
 ) -> tuple[int, ...] | None:
     """Smallest (a, b, c) where a triple law is false, over the pairs (a, b)
-    that the N×N mask ``pairs`` marks, or over all pairs.
+    of row 0 and those of the other rows that the N×N mask ``pairs()``
+    marks, or all of them where it is None.
 
     ``holds(C, ab, a_bc)`` is the law's truth at some pairs: ``ab`` holds
     a ⊕ b by pair, and ``a_bc`` holds a ⊕ (b ⊕ c) with c = P⁻¹(w) in column
     w, P = gyr[a,b]; C is the Cayley table in its narrowest type.
 
     Each worker (`_scan_workers`) takes a range of b's holding an equal share
-    of the pairs, and the rows in blocks of 1, 2, 4, … rows, at most
-    _BLOCK_CELLS // (N · workers).  A block's pairs go in runs of one b and
-    one P, a gather each, unless its columns hold too few pairs to pay for a
-    run each; then in runs of one P, a second gather each.  A worker stops
-    at its first block with a violation and lowers a shared limit a·N + b,
-    and every worker skips the pairs past it; the smallest recorded witness
-    is the answer however the threads run.
+    of the pairs.  Row 0 goes first, as many b's at once as a block holds
+    rows, and its smallest failing pair is the smallest of all; only then is
+    ``pairs()`` called.  The other rows go in blocks of
+    _BLOCK_CELLS // (N · workers), the b's in order, each over its rows
+    before the smallest failing pair so far: the rows of one b and one P are
+    one gather by the index b ⊕ P⁻¹(w).  A worker stops at its first block
+    with a violation and lowers a shared limit a·N + b, and every worker
+    skips the pairs past it; the smallest recorded witness is the answer
+    however the threads run.
     """
     import threading
 
@@ -577,86 +607,113 @@ def _first_triple_violation(
     P = G.perm_matrix
     Gy = G.gyr_table
     workers = _scan_workers(N)
-    most = max(1, _BLOCK_CELLS // (N * workers))  # pairs per gather, rows per block
-    piece = max(1, _BLOCK_CELLS // (8 * N))  # pairs per flat index of a second gather
-    # b-ranges with equal shares of the pairs to scan
-    share = np.cumsum(np.ones(N) if pairs is None else pairs.sum(axis=0))
-    bounds = [0, *(np.searchsorted(share, share[-1] * np.arange(1, workers) / workers) + 1), N]
+    height = max(1, _BLOCK_CELLS // (N * workers))
+    blocks = [*range(1, N, height), N]
+    mask = None  # the pairs of rows 1.. to scan, or None for all
+    bounds = [N * w // workers for w in range(workers + 1)]  # the edges of the b-ranges
     lock = threading.Lock()
     found: list[tuple[int, ...]] = []
     limit = N * N  # no pair at a·N + b >= limit holds the smallest witness
 
-    def chunk_violation(a: np.ndarray, b: np.ndarray, by_column: bool) -> tuple[int, ...] | None:
-        """Smallest failing (a, b, c) among the pairs (a[i], b[i]), or None."""
-        gyr, k = np.unique(Gy[a, b], return_inverse=True)
-        # runs of one b and one gyration P, or of one P
-        order = np.lexsort((k, b)) if by_column else np.argsort(k, kind="stable")
-        a, b, k = a[order], b[order], k[order]
-        run = b * len(gyr) + k if by_column else k
-        starts = np.concatenate(([0], np.flatnonzero(run[1:] != run[:-1]) + 1))
-        ends = [*starts[1:].tolist(), len(a)]
-        w = np.argsort(P[gyr], axis=1)[k[starts]]  # column w of a run holds c = P⁻¹(w)
+    def row_violation(lo: int, hi: int) -> tuple[int, ...] | None:
+        """Smallest failing (0, b, c) with lo <= b < hi, or None."""
+        # the b's in order of their gyration, a run of b's per gyration; the
+        # sort is stable, so a single run is the b's as they stand
+        b = lo + np.argsort(Gy[0, lo:hi], kind="stable")
+        gyr = Gy[0, b]
+        runs = [0, *(np.flatnonzero(gyr[1:] != gyr[:-1]) + 1).tolist(), len(b)]
+        b_c = np.empty((len(b), N), dtype=C.dtype)
+        for s, e in zip(runs, runs[1:]):
+            rows = slice(lo, hi) if len(runs) == 2 else b[s:e]
+            # b ⊕ P⁻¹(w) in column w
+            np.take(C[rows], np.argsort(P[gyr[s]]), axis=1, out=b_c[s:e], mode="clip")
+        # fancy indexing casts the index in pieces, where np.take would cast it whole
+        ok = holds(C, C[0, b], C[0][b_c])
+        if ok.all():
+            return None
+        failing = np.flatnonzero(~ok.all(axis=1))
+        j = failing[np.argmin(b[failing])]
+        return 0, int(b[j]), int(np.argmin(ok[j][P[gyr[j]]]))
+
+    def column_violation(a: np.ndarray, b: int) -> tuple[int, int] | None:
+        """(a, c) of the smallest failing row among the rows ``a`` (ascending)
+        of column b, or None."""
+        # the rows in order of their gyration, a run of rows per gyration
+        gyr = Gy[a, b]
+        order = np.argsort(gyr, kind="stable")
+        a, gyr = a[order], gyr[order]
+        runs = [0, *(np.flatnonzero(gyr[1:] != gyr[:-1]) + 1).tolist(), len(a)]
+        index = np.empty(N, dtype=np.intp)
         a_bc = np.empty((len(a), N), dtype=C.dtype)
-        # the indices are in range, and "clip" writes to out unbuffered
-        if by_column:  # a ⊕ (b ⊕ P⁻¹(w)) by the run's one index b ⊕ P⁻¹(w)
-            for s, e, i in zip(starts.tolist(), ends, C[b[starts][:, None], w]):
-                np.take(C[a[s:e]], i, axis=1, out=a_bc[s:e], mode="clip")
-        else:  # b ⊕ P⁻¹(w), then a ⊕ that in the flat table
-            for s, e, i in zip(starts.tolist(), ends, w):
-                np.take(C[b[s:e]], i, axis=1, out=a_bc[s:e], mode="clip")
-            for s in range(0, len(a), piece):
-                cell = np.add(a_bc[s:s + piece], (a[s:s + piece] * N)[:, None], dtype=np.intp)
-                np.take(C, cell, out=a_bc[s:s + piece], mode="clip")
+        for s, e in zip(runs, runs[1:]):
+            index[P[gyr[s]]] = C[b]  # index[w] = b ⊕ P⁻¹(w)
+            # a run of consecutive rows is read in place
+            rows = slice(a[s], a[e - 1] + 1) if a[e - 1] - a[s] == e - s - 1 else a[s:e]
+            # the indices are in range, and "clip" writes to out unbuffered
+            np.take(C[rows], index, axis=1, out=a_bc[s:e], mode="clip")
         ok = holds(C, C[a, b], a_bc)
         if ok.all():
             return None
-        bad = np.flatnonzero(~ok.all(axis=1))
-        i = bad[np.argmin(a[bad] * N + b[bad])]
-        return int(a[i]), int(b[i]), int(np.argmin(ok[i][P[gyr[k[i]]]]))
+        failing = np.flatnonzero(~ok.all(axis=1))
+        j = failing[np.argmin(a[failing])]
+        return int(a[j]), int(np.argmin(ok[j][P[gyr[j]]]))
 
     def block_violation(a0: int, a1: int, lo: int, hi: int) -> tuple[int, ...] | None:
-        chosen = np.ones((a1 - a0, hi - lo), dtype=bool) if pairs is None else pairs[a0:a1, lo:hi]
-        by_column = chosen.sum() * N >= chosen.any(axis=0).sum() * _RUN_CELLS
-        ends = np.cumsum(chosen.sum(axis=0)).tolist()
         best = None
-        j0 = 0
-        while j0 < len(ends):
-            # whole columns with at most `most` pairs
-            j1 = bisect.bisect_right(ends, (ends[j0 - 1] if j0 else 0) + most)
-            column, row = np.nonzero(chosen[:, j0:j1].T)
-            a, b = a0 + row, lo + j0 + column
-            keep = a * N + b < min(limit, N * N if best is None else best[0] * N + best[1])
-            if keep.any():
-                bad = chunk_violation(a[keep], b[keep], by_column)
-                best = bad if best is None or (bad and bad < best) else best
-            j0 = j1
+        for b in range(lo, hi):
+            # the rows a with a·N + b below the limit and the best so far
+            bound = min(limit, N * N if best is None else best[0] * N + best[1])
+            top = min(a1, -((b - bound) // N))
+            if top <= a0:
+                continue
+            a = np.arange(a0, top) if mask is None else a0 + np.flatnonzero(mask[a0:top, b])
+            bad = column_violation(a, b) if len(a) else None
+            if bad is not None:
+                best = (bad[0], b, bad[1])
         return best
 
-    def scan(w: int) -> None:
+    def record(bad: tuple[int, ...]) -> None:
         nonlocal limit
-        a0, height = 0, 1
-        while a0 < N and a0 * N < limit:
-            bad = block_violation(a0, min(a0 + height, N), bounds[w], bounds[w + 1])
-            if bad is not None:
-                with lock:
-                    found.append(bad)
-                    limit = min(limit, bad[0] * N + bad[1])
+        with lock:
+            found.append(bad)
+            limit = min(limit, bad[0] * N + bad[1])
+
+    def scan_row_0(w: int) -> None:
+        for lo in range(bounds[w], bounds[w + 1], height):
+            if lo >= limit:
                 return
-            a0, height = a0 + height, min(2 * height, most)
+            bad = row_violation(lo, min(lo + height, bounds[w + 1]))
+            if bad is not None:
+                return record(bad)
+
+    def scan(w: int) -> None:
+        for a0, a1 in zip(blocks, blocks[1:]):
+            if a0 * N >= limit:
+                return
+            bad = block_violation(a0, a1, bounds[w], bounds[w + 1])
+            if bad is not None:
+                return record(bad)
 
     def stop() -> None:
         nonlocal limit
         with lock:
             limit = -1
 
-    _run_workers(workers, scan, stop)
+    _run_workers(workers, scan_row_0, stop)
+    if not found:
+        mask = pairs()
+        if mask is not None:  # b-ranges with equal shares of the pairs
+            share = np.cumsum(mask.sum(axis=0))
+            bounds = [0, *(np.searchsorted(share, share[-1] * np.arange(1, workers) / workers) + 1), N]
+        _run_workers(workers, scan, stop)
     return min(found, default=None)
 
 
 def _first_gyroassoc_violation(
-    G: FiniteGyrogroup, pairs: np.ndarray | None = None
+    G: FiniteGyrogroup, pairs: Callable[[], np.ndarray | None] = lambda: None
 ) -> tuple[int, ...] | None:
-    """Smallest (a, b, c) where left gyroassociativity fails."""
+    """Smallest (a, b, c) where left gyroassociativity fails, over the pairs
+    `_first_triple_violation` takes given ``pairs``."""
     # (a ⊕ b) ⊕ w over every w is the whole Cayley row of a ⊕ b
     return _first_triple_violation(
         G, lambda C, ab, a_bc: _gyroassoc_holds(C, ab, a_bc, slice(None)), pairs
@@ -671,15 +728,13 @@ def _first_gyrator_violation(G: FiniteGyrogroup, inv: np.ndarray) -> tuple[int, 
     )
 
 
-def check_left_gyroassociativity(
-    G: FiniteGyrogroup, *, pairs: np.ndarray | None = None
-) -> CheckResult:
+def check_left_gyroassociativity(G: FiniteGyrogroup) -> CheckResult:
     """a ⊕ (b ⊕ c) = (a ⊕ b) ⊕ gyr[a,b]c over all triples; witness (a, b, c).
 
-    `verify` passes ``pairs``, the smallest pair of each class (see the module
-    docstring), where the classes apply; the scan then takes only those.
+    Where the pair classes apply (see the module docstring), the scan takes
+    only the smallest pair of each class.
     """
-    bad = _first_gyroassoc_violation(G, pairs)
+    bad = _first_gyroassoc_violation(G, lambda: _pair_classes(G))
     return CheckResult("left_gyroassociativity", bad is None, bad)
 
 
@@ -705,20 +760,19 @@ def check_gyrator_identity(G: FiniteGyrogroup) -> CheckResult:
 
     Otherwise the identity gets a row scan of its own.
     """
-    return _gyrator_identity(G, None, _left_cancellation_holds(G))
+    return _gyrator_identity(G, None)
 
 
-def _gyrator_identity(G: FiniteGyrogroup, assoc: CheckResult | None, cancels: bool) -> CheckResult:
-    """`check_gyrator_identity`, given whether left cancellation holds, and
-    reusing ``assoc``, a left gyroassociativity result over the same
-    triples, when one is at hand."""
+def _gyrator_identity(G: FiniteGyrogroup, assoc: CheckResult | None) -> CheckResult:
+    """`check_gyrator_identity`, reusing ``assoc``, a left gyroassociativity
+    result over the same triples, when one is at hand."""
     inv = G.left_inverse_map()
     missing = _first_false(inv >= 0)
     if missing is not None:
         return CheckResult(
             "gyrator_identity", False, missing, note="no left inverse, formula undefined"
         )
-    if cancels:
+    if _left_cancellation_holds(G):
         return replace(assoc or check_left_gyroassociativity(G), name="gyrator_identity")
     bad = _first_gyrator_violation(G, inv)
     return CheckResult("gyrator_identity", bad is None, bad)
@@ -752,10 +806,9 @@ class _FlatTable:
 
 
 def _sampled_triples(
-    G: FiniteGyrogroup, seed: int, sample_size: int, cancels: bool
+    G: FiniteGyrogroup, seed: int, sample_size: int
 ) -> tuple[CheckResult, CheckResult]:
-    """Seeded-sample versions of the two triple checks for large orders, given
-    whether left cancellation holds.
+    """Seeded-sample versions of the two triple checks for large orders.
 
     The sample is drawn from ``default_rng(seed)`` in chunks of
     _SAMPLE_CHUNK // workers triples (`_scan_workers`), so the triples held
@@ -775,7 +828,7 @@ def _sampled_triples(
     laws = [lambda ab, a_bc, gyr_c: _gyroassoc_holds(C, ab, a_bc, gyr_c)]
     # otherwise the gyrator identity is undefined, or the associativity
     # witness decides it (see the module docstring)
-    scan_gyrator = bool((inv >= 0).all()) and not cancels
+    scan_gyrator = bool((inv >= 0).all()) and not _left_cancellation_holds(G)
     if scan_gyrator:
         laws.append(lambda ab, a_bc, gyr_c: _gyrator_holds(C, inv, ab, a_bc, gyr_c))
     # (chunk, witness) of each law's earliest failing chunk so far
@@ -837,7 +890,7 @@ def _sampled_triples(
     note = "sampled"
     assoc = CheckResult("left_gyroassociativity", first[0] is None, witness[0], note=note)
     if not scan_gyrator:
-        return assoc, _gyrator_identity(G, assoc, cancels)
+        return assoc, _gyrator_identity(G, assoc)
     gyrator = CheckResult("gyrator_identity", first[1] is None, witness[1], note=note)
     return assoc, gyrator
 
@@ -874,19 +927,15 @@ def verify(
 
     Orders above ``exhaustive_limit`` replace the full triple scans with
     ``sample_size`` seeded pseudo-random triples and label the report sampled.
-    One triple scan serves both triple laws when left cancellation holds, and
-    it scans one pair per class when the gyrations are automorphisms too.
+    One triple scan serves both triple laws when left cancellation holds.
     """
     results = [check(G) for check in _PAIR_CHECKS]
-    cancels = _left_cancellation_holds(G)
     sampled = G.order > exhaustive_limit
     if sampled:
-        assoc, gyrator = _sampled_triples(G, seed, sample_size, cancels)
+        assoc, gyrator = _sampled_triples(G, seed, sample_size)
     else:
-        automorphic = all(r.passed for r in results if r.name == "gyrations_are_automorphisms")
-        pairs = _pair_classes(G) if cancels and automorphic else None
-        assoc = check_left_gyroassociativity(G, pairs=pairs)
-        gyrator = _gyrator_identity(G, assoc, cancels)
+        assoc = check_left_gyroassociativity(G)
+        gyrator = _gyrator_identity(G, assoc)
     results += [assoc, check_loop_property(G), gyrator, check_gyrocommutative(G)]
     return VerificationReport(
         checks=tuple(results),

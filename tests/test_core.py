@@ -360,11 +360,15 @@ def _class_spy(monkeypatch):
 
 
 def _assert_class_scan_matches_reference(G, monkeypatch):
-    """`verify` takes the class scan on G and gives the reference witnesses."""
+    """`verify` takes the class scan on G, unless the law fails in row 0,
+    and gives the reference witnesses."""
     masks = _class_spy(monkeypatch)
     report = verify(G)
-    assert len(masks) == 1 and masks[0] is not None
-    assert set(map(tuple, np.argwhere(masks[0]).tolist())) == ref_class_minima(G)
+    witness = report.check("left_gyroassociativity").witness
+    assert len(masks) == (0 if witness and witness[0] == 0 else 1)
+    mask = core._pair_classes(G)
+    assert mask is not None
+    assert set(map(tuple, np.argwhere(mask).tolist())) == ref_class_minima(G)
     for name, reference in (("left_gyroassociativity", ref_gyroassoc_witness),
                             ("gyrator_identity", ref_gyrator_witness)):
         result = report.check(name)
@@ -589,32 +593,55 @@ def test_scan_error_in_a_worker_reaches_the_caller(scan_threads):
 # --------------------------------------------------------- block scan kernel
 
 
-# (a, b, c) cells for order 64 in blocks of 16 rows
+# (a, b, c) cells for order 64, where the scan takes row 0 and then blocks
+# of 16 rows: 1..16, 17..32, 33..48 and 49..63
 BLOCK_EDGES = {
-    "first row of a block": [(32, 9, 4)],
-    "last row of a block": [(47, 3, 2)],
-    "row after a boundary loses to the row before": [(16, 2, 3), (15, 60, 1)],
+    "first row of a block": [(33, 9, 4)],
+    "last row of a block": [(48, 3, 2)],
+    "row after a boundary loses to the row before": [(17, 2, 3), (16, 60, 1)],
     "last row of the table": [(63, 40, 0)],
     "mixed column, the smaller row in the later run": [(38, 33, 5), (36, 33, 40)],
+    "row 0 in the last column": [(1, 0, 0), (0, 63, 5)],
+    "row 1 after row 0": [(1, 0, 3), (0, 1, 62)],
 }
+
+
+def _blocks_of_16_rows(monkeypatch):
+    """Blocks of 16 rows at order 64, and a worker per 16 b's on the CPUs
+    the scan sees."""
+    monkeypatch.setattr(core, "_MIN_ROWS_PER_WORKER", 16)
+    monkeypatch.setattr(core, "_BLOCK_CELLS", 16 * 64 * core._scan_workers(64))
 
 
 @pytest.mark.parametrize("case", list(BLOCK_EDGES))
 def test_block_edges_give_the_smallest_witness(case, scan_threads, monkeypatch):
-    # blocks of 16 rows, and a worker per 16 b's on the CPUs the fixture sets
-    monkeypatch.setattr(core, "_BLOCK_CELLS", 16 * 64)
-    monkeypatch.setattr(core, "_MIN_ROWS_PER_WORKER", 16)
+    _blocks_of_16_rows(monkeypatch)
     G = _planted(6, BLOCK_EDGES[case])
     assert check_left_gyroassociativity(G).witness == min(BLOCK_EDGES[case])
     _assert_triple_witnesses(G)
     assert len(scan_threads) >= 1
 
 
+@pytest.mark.parametrize("column", range(1, 64))
+def test_b_range_edges_with_a_class_mask(column, monkeypatch):
+    # the b-ranges of four workers split the class minima evenly, so their
+    # edges may fall at any column; planted at the last class minimum of one
+    # column and the first past row 0 of the next, the smaller pair wins
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    _blocks_of_16_rows(monkeypatch)
+    mask = core._pair_classes(build_cyclic_gyrogroup(6))
+    late = np.flatnonzero(mask[:, column - 1])[-1]
+    rows = np.flatnonzero(mask[:, column])
+    early = rows[1] if len(rows) > 1 else 0
+    cells = [(int(late), column - 1, 7), (int(early), column, 9)]
+    assert core._first_gyroassoc_violation(_planted(6, cells), lambda: mask) == min(cells)
+
+
 def test_mixed_column_runs_are_sorted_by_gyration(monkeypatch):
-    # rows 32..47 of column 33 alternate between the construction's two
+    # rows 33..48 of column 33 alternate between the construction's two
     # gyrations and carry the two planted ones, which sort last, row 36 after
     # row 38
-    monkeypatch.setattr(core, "_BLOCK_CELLS", 16 * 64)
+    _blocks_of_16_rows(monkeypatch)
     G = _planted(6, BLOCK_EDGES["mixed column, the smaller row in the later run"])
     column = G.gyr_table[32:48, 33]
     assert sorted(set(column.tolist())) == [0, 1, 2, 3]
@@ -691,35 +718,39 @@ def test_scan_peak_memory_without_classes_at_order_512(monkeypatch, cpus):
 
 
 def test_class_scan_peak_memory_at_order_512(monkeypatch):
+    # the classes, their gate and the class scan, each table's facts computed
+    # under the trace
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    masks = _class_spy(monkeypatch)
     G = build_cyclic_gyrogroup(9)
     gyr = np.array(G.gyr_table)
     gyr[511, 0] ^= 1
-    for table in (G, FiniteGyrogroup(G.cayley, gyr, G.perm_matrix)):
-        np.unique(table.gyr_table)  # numpy's first unique call keeps a cache
+    for table, witness in ((G, None), (FiniteGyrogroup(G.cayley, gyr, G.perm_matrix), (511, 0, 1))):
         tracemalloc.start()
         try:
-            pairs = core._pair_classes(table)
-            result = check_left_gyroassociativity(table, pairs=pairs)
+            result = check_left_gyroassociativity(table)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert result.witness == (None if table is G else (511, 0, 1))
+        assert masks.pop() is not None
+        assert result.witness == witness
         assert peak <= 3.5e6
 
 
 @pytest.mark.parametrize("classes", [False, True], ids=["all pairs", "classes"])
 def test_witness_in_row_0_is_found_in_the_first_rows(classes, scan_threads, monkeypatch):
-    # the rows go in blocks of 1, 2, 4, ..., so a witness in row 0 and a late
-    # column stops the scan within the first rows, whichever worker is late
+    # row 0 goes first, so a witness in row 0 and a late column ends the
+    # scan after it
     G = build_cyclic_gyrogroup(9)
     gyr = np.array(G.gyr_table)
     gyr[0, 500] ^= 1
     G = FiniteGyrogroup(G.cayley, gyr, G.perm_matrix)
-    pairs = core._pair_classes(G) if classes else None
     counted = _counting_laws(monkeypatch)
-    assert check_left_gyroassociativity(G, pairs=pairs).witness == (0, 500, 1)
-    assert sum(counted) <= 32 * G.order**2
+    masks = _class_spy(monkeypatch)
+    pairs = (lambda: core._pair_classes(G)) if classes else (lambda: None)
+    assert core._first_gyroassoc_violation(G, pairs) == (0, 500, 1)
+    assert sum(counted) == G.order**2
+    assert not masks
 
 
 def test_gyrocommutative(g3, z8, dih8):
@@ -884,8 +915,7 @@ def test_sampled_witnesses_match_reference(case, scan_threads):
 def test_sampled_scan_draws_no_chunk_after_a_failing_one(scan_threads, sample_chunks):
     # every chunk fails, so each worker stops after its first
     G, (assoc_reference, _) = _sampled_case("first failure in chunk 0")
-    cancels = core._left_cancellation_holds(G)
-    assoc, _ = core._sampled_triples(G, core.SAMPLE_SEED, SAMPLE, cancels)
+    assoc, _ = core._sampled_triples(G, core.SAMPLE_SEED, SAMPLE)
     assert assoc.witness == assoc_reference[1]
     workers = len(scan_threads) + 1
     assert workers == core._scan_workers(G.order) > 1
@@ -907,7 +937,7 @@ def test_sampled_scan_error_in_a_worker_reaches_the_caller(scan_threads, monkeyp
 
     monkeypatch.setattr(core, "_gyroassoc_holds", holds)
     with pytest.raises(MemoryError, match="worker failed"):
-        core._sampled_triples(build_cyclic_gyrogroup(10), core.SAMPLE_SEED, SAMPLE, True)
+        core._sampled_triples(build_cyclic_gyrogroup(10), core.SAMPLE_SEED, SAMPLE)
 
 
 @pytest.mark.parametrize("scan_threads", [2, 4, 8], indirect=True,
@@ -916,10 +946,9 @@ def test_sampled_scan_peak_memory_at_order_1024(scan_threads):
     # the triples in flight stay one 2^18-chunk whatever the worker count; a
     # 2^18-chunk per worker would not
     G = build_cyclic_gyrogroup(10)
-    cancels = core._left_cancellation_holds(G)
     tracemalloc.start()
     try:
-        assert all(r.passed for r in core._sampled_triples(G, core.SAMPLE_SEED, SAMPLE, cancels))
+        assert all(r.passed for r in core._sampled_triples(G, core.SAMPLE_SEED, SAMPLE))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
