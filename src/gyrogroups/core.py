@@ -18,13 +18,15 @@ translation L_z, so with z = a ⊕ b, for every single triple
 that is, left gyroassociativity and the gyrator identity fail at the same
 triples and have the same smallest (or first sampled) witness.
 
-When moreover every referenced gyration is an automorphism that commutes
-with ⊖, `verify` scans only the smallest pair (a, b) of each class.  A class
-joins p to σ1(p) = (⊖a, a ⊕ b) and to σ2(p) = (a ⊕ b, ⊖gyr[a,b]b) where, at
-p and at σi(p) alike, gyr[σi(p)] is the stored inverse of gyr[p], and
-σ1(σ1(p)) = p, or (a ⊕ b) ⊕ ⊖gyr[a,b]b = a.  The law holds for every c at p
-exactly when it does at σi(p), so the smallest failing pair is the smallest
-of its class, and the witness is the same.
+When moreover every referenced gyration is an automorphism, the left
+gyroassociativity scan takes, past row 0, only the smallest pair (a, b) of
+each class.  A class joins p to σ1(p) = (⊖a, a ⊕ b) where gyr[σ1(p)] is the
+stored inverse of gyr[p], and to σ2(p) = (a ⊕ b, ⊖gyr[a,b]b) where that
+holds too and (a ⊕ b) ⊕ ⊖gyr[a,b]b = a.  Left cancellation makes ⊖ an
+involution that the automorphisms commute with, so these facts then hold at
+σi(p) as well, and the law holds for every c at p exactly when it does at
+σi(p): the smallest failing pair is the smallest of its class, and the
+witness is the same.
 """
 
 from __future__ import annotations
@@ -465,16 +467,13 @@ def _left_cancellation_holds(G: FiniteGyrogroup) -> bool:
 def _pair_classes(G: FiniteGyrogroup) -> np.ndarray | None:
     """The N×N mask of the pairs that are the smallest of their class (see the
     module docstring), or None where the classes do not apply: without left
-    cancellation, or where some referenced gyration is no automorphism or
-    does not commute with ⊖."""
+    cancellation, or where some referenced gyration is no automorphism."""
     if not (_left_cancellation_holds(G) and check_gyr_automorphisms(G).passed):
         return None
     N = G.order
     C, Gy, P = G.cayley, G.gyr_table, G.perm_matrix
     inv = G.left_inverse_map().astype(np.int32)
     used = _used_gyrations(G)
-    if not (inv[P[used]] == P[used][:, inv]).all():
-        return None
     # inverse[k]: the stored inverse of gyration k, or -1 where none is stored
     stored = {key: k for k, key in enumerate(_row_keys(P).tolist())}
     inverse = np.full(len(P), -1, dtype=np.int32)
@@ -491,34 +490,24 @@ def _pair_classes(G: FiniteGyrogroup) -> np.ndarray | None:
         a = np.arange(a0, a1, dtype=np.int32)[:, None]
         return a * N + columns, inv[a] * N + C[a0:a1]
 
-    # joins[p]: σ1's facts hold at p, and so at σ1(p), inv being a bijection;
-    # near[p]: σ2(p); held[p]: σ2's facts hold at p
+    # joins[p]: σ1's fact holds at p; near[p]: σ2(p) where its facts hold at
+    # p, or p.  The facts at p hold at σi(p) too, so the joins are symmetric.
     joins = np.empty((N, N), dtype=bool)
     near = np.empty((N, N), dtype=np.int32)
-    held = np.empty((N, N), dtype=bool)
 
     def facts(a0: int, a1: int) -> None:
-        a = np.arange(a0, a1, dtype=np.int32)[:, None]
+        p, s1 = pairs(a0, a1)
         g = Gy[a0:a1]
         inverse_g = inverse[g]
-        # ⊖gyr[a,b]b from P at gyr[a,b]·N + b
+        # σ2(p) = (a ⊕ b, ⊖gyr[a,b]b), with gyr[a,b]b from P at gyr[a,b]·N + b
         s2 = C[a0:a1] * N + inv[np.take(P, np.multiply(g, N, dtype=np.int32) + columns)]
-        near[a0:a1] = s2
-        # σ1(σ1(p)) = (⊖⊖a, b) by left cancellation
-        s1 = pairs(a0, a1)[1]
-        np.logical_and(inv[inv[a]] == a, np.take(Gy, s1) == inverse_g, out=joins[a0:a1])
-        np.logical_and(np.take(C, s2) == a, np.take(Gy, s2) == inverse_g, out=held[a0:a1])
-
-    def unjoin(a0: int, a1: int) -> None:
-        """near[p] = p where σ2's facts fail at p or at σ2(p)."""
-        both = held[a0:a1] & np.take(held, near[a0:a1])
-        np.copyto(near[a0:a1], pairs(a0, a1)[0], where=~both)
+        a = np.arange(a0, a1, dtype=np.int32)[:, None]
+        held = (np.take(C, s2) == a) & (np.take(Gy, s2) == inverse_g)
+        near[a0:a1] = np.where(held, s2, p)
+        np.equal(np.take(Gy, s1), inverse_g, out=joins[a0:a1])
 
     for block in blocks:
         facts(*block)
-    for block in blocks:
-        unjoin(*block)
-    del held
     label = np.arange(N * N, dtype=np.int32).reshape(N, N)
 
     def sweep(a0: int, a1: int) -> bool:

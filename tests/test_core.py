@@ -455,12 +455,47 @@ def test_class_scan_matches_reference_on_random_tables(G):
         _assert_class_scan_matches_reference(G, patch)
 
 
-def test_pair_classes_need_gyrations_that_commute_with_inversion():
-    # the swap of 1 and 2 on Z_4 takes ⊖1 = 3 to 3, not to ⊖2 = 2
+def test_pair_classes_need_left_cancellation_and_automorphic_gyrations():
+    # the swap of 1 and 2 is no automorphism of Z_4: 1 + 1 = 2, but 2 + 2 = 0
     swap = FiniteGyrogroup(cyclic_group(4), np.zeros((4, 4), dtype=int), [[0, 2, 1, 3]])
+    assert core._left_cancellation_holds(swap)
     assert core._pair_classes(swap) is None
+    # x ⊕ y = y has its identity gyrations, but 0 ⊕ x = 0 only for x = 0
+    right_zero = FiniteGyrogroup(np.tile(np.arange(4), (4, 1)))
+    assert check_gyr_automorphisms(right_zero).passed
+    assert core._pair_classes(right_zero) is None
     z4 = FiniteGyrogroup.from_group(cyclic_group(4))
     assert core._pair_classes(z4).sum() == len(ref_class_minima(z4))
+
+
+def _linear_maps(count, seed):
+    """``count`` distinct invertible linear maps of Z_2^6 other than the
+    identity, as permutations of its 64 elements."""
+    rng = np.random.default_rng(seed)
+    bits = (np.arange(64)[:, None] >> np.arange(6)) & 1
+    maps = {}
+    while len(maps) < count:
+        M = np.eye(6, dtype=np.int64)
+        for i, j in rng.integers(0, 6, size=(12, 2)):
+            if i != j:
+                M[i] ^= M[j]
+        images = tuple(((bits @ M.T) % 2 @ (1 << np.arange(6))).tolist())
+        if images != tuple(range(64)):
+            maps[images] = None
+    return [list(images) for images in maps]
+
+
+def test_pair_classes_past_uint16_products(monkeypatch):
+    # Z_2^6 whose two referenced gyrations, the identity and the swap of
+    # bits 0 and 1, are stored past index 1024, where gyr[a,b]·N leaves uint16
+    N = 64
+    swap = [x & ~3 | (x & 1) << 1 | (x >> 1) & 1 for x in range(N)]
+    perms = [m for m in _linear_maps(1100, 0) if m != swap] + [list(range(N)), swap]
+    gyr = np.where(np.random.default_rng(1).random((N, N)) < 0.9, len(perms) - 2, len(perms) - 1)
+    G = FiniteGyrogroup(np.arange(N)[:, None] ^ np.arange(N), gyr, perms)
+    assert int(G.gyr_table.min()) * N >= 1 << 16
+    _assert_class_scan_matches_reference(G, monkeypatch)
+    assert not verify(G).check("left_gyroassociativity").passed
 
 
 # ------------------------------------------------------ threaded triple scans
