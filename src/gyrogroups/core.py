@@ -693,7 +693,8 @@ def _first_triple_violation(
         mask = pairs()
         if mask is not None:  # b-ranges with equal shares of the pairs
             share = np.cumsum(mask.sum(axis=0))
-            bounds = [0, *(np.searchsorted(share, share[-1] * np.arange(1, workers) / workers) + 1), N]
+            cuts = np.searchsorted(share, share[-1] * np.arange(1, workers) / workers) + 1
+            bounds = [0, *cuts.tolist(), N]
         _run_workers(workers, scan, stop)
     return min(found, default=None)
 

@@ -760,7 +760,8 @@ def test_class_scan_peak_memory_at_order_512(monkeypatch):
     G = build_cyclic_gyrogroup(9)
     gyr = np.array(G.gyr_table)
     gyr[511, 0] ^= 1
-    for table, witness in ((G, None), (FiniteGyrogroup(G.cayley, gyr, G.perm_matrix), (511, 0, 1))):
+    flipped = FiniteGyrogroup(G.cayley, gyr, G.perm_matrix)
+    for table, witness in ((G, None), (flipped, (511, 0, 1))):
         tracemalloc.start()
         try:
             result = check_left_gyroassociativity(table)
