@@ -628,7 +628,7 @@ def _first_triple_violation(
         """(a, c) of the smallest failing row among the rows ``a`` (ascending)
         of column b, or None."""
         # the rows in order of their gyration, a run of rows per gyration
-        gyr = Gy[a, b]
+        gyr = Gy[:, b][a]
         order = np.argsort(gyr, kind="stable")
         a, gyr = a[order], gyr[order]
         runs = [0, *(np.flatnonzero(gyr[1:] != gyr[:-1]) + 1).tolist(), len(a)]
@@ -640,7 +640,7 @@ def _first_triple_violation(
             rows = slice(a[s], a[e - 1] + 1) if a[e - 1] - a[s] == e - s - 1 else a[s:e]
             # the indices are in range, and "clip" writes to out unbuffered
             np.take(C[rows], index, axis=1, out=a_bc[s:e], mode="clip")
-        ok = holds(C, C[a, b], a_bc)
+        ok = holds(C, C[:, b][a], a_bc)
         if ok.all():
             return None
         failing = np.flatnonzero(~ok.all(axis=1))

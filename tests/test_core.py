@@ -386,7 +386,7 @@ def _conjugations(table):
 def _gyration_mutations(n, seed):
     """The order-2^n construction, then copies with gyr[a,b] switched to the
     other stored gyration at a few random pairs; both gyrations are
-    automorphisms that commute with ⊖, so the class scan applies."""
+    automorphisms, so the class scan applies."""
     G = build_cyclic_gyrogroup(n)
     yield G
     rng = np.random.default_rng(seed)
@@ -460,7 +460,8 @@ def test_pair_classes_need_left_cancellation_and_automorphic_gyrations():
     swap = FiniteGyrogroup(cyclic_group(4), np.zeros((4, 4), dtype=int), [[0, 2, 1, 3]])
     assert core._left_cancellation_holds(swap)
     assert core._pair_classes(swap) is None
-    # x ⊕ y = y has its identity gyrations, but 0 ⊕ x = 0 only for x = 0
+    # x ⊕ y = y, with identity gyrations, lacks left cancellation: b ⊕ x = 0
+    # only for x = 0
     right_zero = FiniteGyrogroup(np.tile(np.arange(4), (4, 1)))
     assert check_gyr_automorphisms(right_zero).passed
     assert core._pair_classes(right_zero) is None
