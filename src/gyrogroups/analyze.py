@@ -24,6 +24,7 @@ from .core import (
     GyrogroupDataError,
     Permutation,
     _close,
+    _distinct,
     _row_keys,
     check_left_gyroassociativity,
 )
@@ -95,7 +96,7 @@ class SubgyrogroupLattice:
 
 def _gyrations_fix_pointwise(G: FiniteGyrogroup, members: frozenset[int]) -> bool:
     S = np.fromiter(members, dtype=np.int64)
-    return bool((G.perm_matrix[np.unique(G.gyr_table[S[:, None], S])][:, S] == S).all())
+    return bool((G.perm_matrix[_distinct(G.gyr_table[S[:, None], S])][:, S] == S).all())
 
 
 def _is_prime(q: int) -> bool:
@@ -288,7 +289,7 @@ def gyroautomorphism_group(G: FiniteGyrogroup) -> np.ndarray:
     since in a finite group the monoid they generate is the group.  Returned
     as a read-only |Γ|×N image matrix sorted by images, identity first.
     """
-    gens = G.perm_matrix[np.unique(G.gyr_table)]
+    gens = G.perm_matrix[_distinct(G.gyr_table)]
     frontier = np.arange(G.order, dtype=gens.dtype)[None, :]
     # Γ so far as sorted raw-bytes keys, which each round's new products are
     # searched in and inserted into without sorting the known rows again
@@ -474,7 +475,7 @@ def is_degenerate_group(G: FiniteGyrogroup) -> bool:
     Checks both signals, all-identity gyrations and associativity of ⊕, and
     raises when they disagree, since that marks corrupted tables.
     """
-    all_identity = bool((G.perm_matrix[np.unique(G.gyr_table)] == np.arange(G.order)).all())
+    all_identity = bool((G.perm_matrix[_distinct(G.gyr_table)] == np.arange(G.order)).all())
     associative = check_left_gyroassociativity(FiniteGyrogroup.from_group(G.cayley)).passed
     if all_identity != associative:
         raise GyrogroupDataError(

@@ -178,6 +178,12 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(rows).view(key).ravel()
 
 
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of an array of non-negative integers.  A
+    plain ``np.unique(x)`` imports ``numpy.ma`` on its first call."""
+    return np.flatnonzero(np.bincount(np.ravel(x)))
+
+
 class FiniteGyrogroup:
     """A finite magma with a gyration attached to every ordered pair.
 
@@ -320,7 +326,7 @@ def _close(G: FiniteGyrogroup, seed: frozenset[int]) -> frozenset[int]:
             raise GyrogroupDataError(f"element {missing} has no left inverse; cannot close")
         new.update(inv_s.tolist())
         if gyrates:
-            new.update(P[np.unique(Gy[S[:, None], S])][:, S].ravel().tolist())
+            new.update(P[_distinct(Gy[S[:, None], S])][:, S].ravel().tolist())
         if new <= members:
             return frozenset(members)
         members |= new

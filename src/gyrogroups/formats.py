@@ -19,6 +19,7 @@ from .core import (
     CheckResult,
     FiniteGyrogroup,
     VerificationReport,
+    _distinct,
     check_left_translations,
     check_right_translations,
 )
@@ -56,20 +57,43 @@ def _symbols(G: FiniteGyrogroup) -> list[str]:
     return symbols
 
 
-def _label_rows(labels: list[str], table: np.ndarray) -> list[list[str]]:
-    """The table as rows of strings, entry v written as labels[v]."""
-    return np.array(labels, dtype=object)[table].tolist()
+def _cells(texts: list[str]) -> np.ndarray:
+    """The texts as one fixed-width ASCII cell each, right-justified with NUL."""
+    width = max(map(len, texts))
+    cells = "".join(t.rjust(width, "\0") for t in texts).encode("ascii")
+    return np.frombuffer(cells, f"V{width}")
 
 
-def _text_grid(labels: list[str], table: np.ndarray) -> list[str]:
+def _block(labels: list[str], table: np.ndarray, sep: str, heads: list[str] | None = None) -> bytes:
+    """One line per row of the table: its entry of ``heads``, then each entry
+    v as ``labels[v] + sep``, with the line's last ``sep`` made a newline.
+
+    Each label is encoded once as a cell and the block is one gather of the
+    cells by the table.  Labels and heads of unequal width are padded with
+    NUL, which the caller removes."""
+    rows = np.take(_cells([v + sep for v in labels]), table).view(np.uint8)
+    rows = rows.reshape(len(table), -1)
+    rows[:, -1] = ord("\n")
+    if heads is not None:
+        rows = np.hstack([_cells(heads).view(np.uint8).reshape(len(heads), -1), rows])
+    return rows.tobytes()
+
+
+def _text_grid(labels: list[str], table: np.ndarray) -> str:
     """Header, rule and one line per row, right-aligned in columns as wide as
     the widest label in use or the widest index."""
     n = len(table)
-    width = max(len(str(n - 1)), *(len(labels[k]) for k in np.unique(table).tolist()))
-    line = f"%{width}s | " + " ".join([f"%{width}s"] * n)
+    # labels not in the table are blanked: they set no width, and every
+    # cell comes out as wide
+    shown = [""] * len(labels)
+    for k in _distinct(table).tolist():
+        shown[k] = labels[k]
+    width = max(len(str(n - 1)), *map(len, shown))
+    head = " " * width + " | " + " ".join(f"{j:>{width}}" for j in range(n))
     sep = "-" * width + "-+-" + "-" * (n * (width + 1) - 1)
-    rows = _label_rows(labels, table)
-    return [line % ("", *range(n)), sep] + [line % (a, *row) for a, row in enumerate(rows)]
+    heads = [f"{a:>{width}} | " for a in range(n)]
+    rows = _block([v.rjust(width) for v in shown], table, " ", heads)
+    return f"{head}\n{sep}\n" + rows.decode("ascii")
 
 
 def emit_tables(G: FiniteGyrogroup, fmt: str = "text") -> str:
@@ -78,25 +102,28 @@ def emit_tables(G: FiniteGyrogroup, fmt: str = "text") -> str:
     elements = [str(x) for x in range(G.order)]
 
     if fmt == "csv":
-        lines = [f"order,{G.order}", "cayley"]
-        lines += [",".join(row) for row in _label_rows(elements, G.cayley)]
-        lines.append("gyration")
-        lines += [",".join(row) for row in _label_rows(symbols, G.gyr_table)]
-        for sym, images in zip(symbols, G.perm_matrix.tolist()):
-            lines.append(f"perm {sym}: " + " ".join(map(str, images)))
-        return "\n".join(lines) + "\n"
+        document = b"".join([
+            f"order,{G.order}\ncayley\n".encode(),
+            _block(elements, G.cayley, ","),
+            b"gyration\n",
+            _block(symbols, G.gyr_table, ","),
+            _block(elements, G.perm_matrix, " ", [f"perm {sym}: " for sym in symbols]),
+        ])
+        return document.replace(b"\0", b"").decode("ascii")
 
     if fmt == "text":
-        lines = [f"cayley table (order {G.order})"]
-        lines += _text_grid(elements, G.cayley)
-        lines.append("")
-        lines.append(f"gyration table (order {G.order})")
-        lines += _text_grid(symbols, G.gyr_table)
-        lines.append("")
-        lines.append("legend:")
-        for sym, p in zip(symbols, G.perms):
-            lines.append(f"  {sym} = " + ("identity" if p.is_identity else p.cycle_string()))
-        return "\n".join(lines) + "\n"
+        legend = [
+            f"  {sym} = " + ("identity" if p.is_identity else p.cycle_string()) + "\n"
+            for sym, p in zip(symbols, G.perms)
+        ]
+        return "".join([
+            f"cayley table (order {G.order})\n",
+            _text_grid(elements, G.cayley),
+            f"\ngyration table (order {G.order})\n",
+            _text_grid(symbols, G.gyr_table),
+            "\nlegend:\n",
+            *legend,
+        ])
 
     raise ValueError(f"unknown format {fmt!r} (expected 'text' or 'csv')")
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FiniteGyrogroup, _close, _first_false, check_left_gyroassociativity
+from .core import FiniteGyrogroup, _close, _distinct, _first_false, check_left_gyroassociativity
 
 __all__ = [
     "GroupInvariants",
@@ -119,7 +119,7 @@ def group_invariants(table: np.ndarray) -> GroupInvariants:
         raise ValueError(f"not a group table: {violation[0]} fails at {violation[1]}")
     orders = element_orders(T)
     inv = np.argmax(T == 0, axis=1)
-    commutators = np.unique(T[T, inv[T.T]])
+    commutators = _distinct(T[T, inv[T.T]])
     return GroupInvariants(
         order=n,
         abelian=bool(np.array_equal(T, T.T)),

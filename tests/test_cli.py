@@ -265,6 +265,36 @@ def test_cli_import_loads_no_pool_modules():
     assert not loaded & {"concurrent.futures", "multiprocessing"}
 
 
+def test_commands_load_no_masked_arrays(tmp_path):
+    # a plain np.unique(x) imports numpy.ma on its first call, which costs a
+    # command 15-30 ms; every command runs in one fresh interpreter
+    src = str(Path(gyrogroups.__file__).parents[1])
+    path_list = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_list)))
+    commands = [
+        ["build", "--n", "4", "--format", "csv", "--out", "t.csv"],
+        ["build", "--n", "4", "--out", "t.txt"],
+        ["verify", "--n", "4", "--report", "verify.json"],
+        ["check", "t.csv", "--report", "check.json"],
+        ["lattice", "--n", "4", "--out", "lattice.txt"],
+        ["lattice", "--n", "4", "--dot", "--out", "lattice.dot"],
+        ["holomorph", "--n", "3"],
+        ["iso", "--left", "t.csv", "--right", "t.csv"],
+    ]
+    probe = (
+        "import json, sys\n"
+        "from gyrogroups.cli import main\n"
+        f"codes = [main(argv) for argv in {commands!r}]\n"
+        "print(json.dumps([codes, 'numpy.ma' in sys.modules]))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    codes, masked = json.loads(done.stdout.splitlines()[-1])
+    assert codes == [0] * len(commands)
+    assert not masked
+
+
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(doc=mutated_documents([*BASE_DOCUMENTS, s8_document()], top_byte=255))

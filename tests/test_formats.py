@@ -230,19 +230,28 @@ def load_outcome(load, doc, strict):
 
 def test_emit_matches_reference_past_the_letters():
     # 40 gyrations in the table and 4 never referenced, so symbols run on
-    # from the letters to P25..P42 and the two grids differ in width
+    # from the letters to P25..P42 and the two grids differ in width; and a
+    # table of I and A alone, whose 29 unreferenced symbols run to P29, wider
+    # than the gyration grid's width of 1
     rng = np.random.default_rng(3)
     images = {tuple(rng.permutation(8).tolist()) for _ in range(60)} - {tuple(range(8))}
     perms = [tuple(range(8))] + sorted(images)[:43]
-    for low in (0, 1):  # with and without the identity in the table
-        gyr = rng.permutation(np.resize(np.arange(low, low + 40), 64)).reshape(8, 8)
-        G = FiniteGyrogroup(cyclic_group(8), gyr, perms)
-        assert len(G.perm_matrix) == 44
+    cases = [
+        # with and without the identity in the table
+        (rng.permutation(np.resize(np.arange(low, low + 40), 64)).reshape(8, 8), perms, "P42")
+        for low in (0, 1)
+    ]
+    cases.append((np.eye(8, dtype=np.int64), perms[:31], "P29"))
+    for gyr, legend, last in cases:
+        G = FiniteGyrogroup(cyclic_group(8), gyr, legend)
+        assert len(G.perm_matrix) == len(legend)
         for fmt in ("csv", "text"):
             assert emit_tables(G, fmt) == ref_emit_tables(G, fmt)
         doc = emit_tables(G, "csv")
-        assert "perm P42: " in doc
+        assert f"perm {last}: " in doc
+        assert f"  {last} = " in emit_tables(G, "text")
         assert load_outcome(load_tables, doc, True) == load_outcome(ref_load_tables, doc, True)
+        assert emit_tables(load_tables(doc), "csv") == doc
 
 
 @pytest.mark.parametrize("token", ["Ǿ", "٣", "+3", "1_0"])

@@ -12,14 +12,17 @@ from gyrogroups import (
     cyclic_group,
     dihedral_group,
     direct_product,
+    emit_tables,
     gyration_selector,
     half_shift,
     inverse_element,
     inverse_of,
+    load_tables,
     oplus,
     verify,
 )
 
+from formats_reference import ref_emit_tables
 from witness_checks import witness_confirms
 
 exponents = st.integers(min_value=3, max_value=9)
@@ -159,3 +162,31 @@ def test_relabeling_preserves_verification(tail):
     G = build_cyclic_gyrogroup(3)
     sigma = Permutation((0, *tail))
     assert verify(relabel(G, sigma)).passed
+
+
+@st.composite
+def legend_tables(draw):
+    """Z_N for N in 1..40 with 1..30 random gyrations, the identity among
+    them or not, and a random nonempty subset of them in the table, so that
+    unreferenced legend symbols can be wider than the grid's columns."""
+    n = draw(st.integers(1, 40))
+    count = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    perms = [rng.permutation(n) for _ in range(count)]
+    if draw(st.booleans()):
+        perms[draw(st.integers(0, count - 1))] = np.arange(n)
+    used = draw(st.lists(st.integers(0, count - 1), min_size=1, max_size=count, unique=True))
+    return FiniteGyrogroup(cyclic_group(n), rng.choice(used, (n, n)), perms)
+
+
+@given(legend_tables())
+@settings(max_examples=60, deadline=None)
+def test_emitted_documents_match_the_reference_and_round_trip(G):
+    for fmt in ("csv", "text"):
+        assert emit_tables(G, fmt) == ref_emit_tables(G, fmt)
+    doc = emit_tables(G, "csv")
+    back = load_tables(doc)
+    assert np.array_equal(back.cayley, G.cayley)
+    assert np.array_equal(back.gyr_table, G.gyr_table)
+    assert np.array_equal(back.perm_matrix, G.perm_matrix)
+    assert emit_tables(back, "csv") == doc
