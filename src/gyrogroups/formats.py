@@ -64,7 +64,9 @@ def _cells(texts: list[str]) -> np.ndarray:
     return np.frombuffer(cells, f"V{width}")
 
 
-def _block(labels: list[str], table: np.ndarray, sep: str, heads: list[str] | None = None) -> bytes:
+def _block(
+    labels: list[str], table: np.ndarray, sep: str, heads: list[str] | None = None
+) -> bytes:
     """One line per row of the table: its entry of ``heads``, then each entry
     v as ``labels[v] + sep``, with the line's last ``sep`` made a newline.
 
@@ -80,14 +82,13 @@ def _block(labels: list[str], table: np.ndarray, sep: str, heads: list[str] | No
 
 
 def _text_grid(labels: list[str], table: np.ndarray) -> str:
-    """Header, rule and one line per row, right-aligned in columns as wide as
-    the widest label in use or the widest index."""
+    """Header, rule and one line per row, each ending in a newline,
+    right-aligned in columns as wide as the widest label in use or the
+    widest index."""
     n = len(table)
-    # labels not in the table are blanked: they set no width, and every
-    # cell comes out as wide
-    shown = [""] * len(labels)
-    for k in _distinct(table).tolist():
-        shown[k] = labels[k]
+    # a label not in the table is blanked, or its cell could be wider
+    used = set(_distinct(table).tolist())
+    shown = [v if k in used else "" for k, v in enumerate(labels)]
     width = max(len(str(n - 1)), *map(len, shown))
     head = " " * width + " | " + " ".join(f"{j:>{width}}" for j in range(n))
     sep = "-" * width + "-+-" + "-" * (n * (width + 1) - 1)
@@ -112,18 +113,12 @@ def emit_tables(G: FiniteGyrogroup, fmt: str = "text") -> str:
         return document.replace(b"\0", b"").decode("ascii")
 
     if fmt == "text":
-        legend = [
-            f"  {sym} = " + ("identity" if p.is_identity else p.cycle_string()) + "\n"
-            for sym, p in zip(symbols, G.perms)
-        ]
-        return "".join([
-            f"cayley table (order {G.order})\n",
-            _text_grid(elements, G.cayley),
-            f"\ngyration table (order {G.order})\n",
-            _text_grid(symbols, G.gyr_table),
-            "\nlegend:\n",
-            *legend,
-        ])
+        # a grid ends in a newline, so the join leaves a blank line after it
+        lines = [f"cayley table (order {G.order})", _text_grid(elements, G.cayley)]
+        lines += [f"gyration table (order {G.order})", _text_grid(symbols, G.gyr_table), "legend:"]
+        for sym, p in zip(symbols, G.perms):
+            lines.append(f"  {sym} = " + ("identity" if p.is_identity else p.cycle_string()))
+        return "\n".join(lines) + "\n"
 
     raise ValueError(f"unknown format {fmt!r} (expected 'text' or 'csv')")
 
