@@ -66,9 +66,10 @@ def _cells(texts: list[str]) -> np.ndarray:
 
 def _block(
     labels: list[str], table: np.ndarray, sep: str, heads: list[str] | None = None
-) -> bytes:
-    """One line per row of the table: its entry of ``heads``, then each entry
-    v as ``labels[v] + sep``, with the line's last ``sep`` made a newline.
+) -> np.ndarray:
+    """The ASCII bytes of one line per row of the table, as a uint8 array:
+    the row's entry of ``heads``, then each entry v as ``labels[v] + sep``,
+    with the line's last ``sep`` made a newline.
 
     Each label is encoded once as a cell and the block is one gather of the
     cells by the table.  Labels and heads of unequal width are padded with
@@ -78,11 +79,11 @@ def _block(
     rows[:, -1] = ord("\n")
     if heads is not None:
         rows = np.hstack([_cells(heads).view(np.uint8).reshape(len(heads), -1), rows])
-    return rows.tobytes()
+    return rows
 
 
-def _text_grid(labels: list[str], table: np.ndarray) -> str:
-    """Header, rule and one line per row, each ending in a newline,
+def _text_grid(labels: list[str], table: np.ndarray) -> list[str]:
+    """Header, rule and the rows as one string ending in a newline,
     right-aligned in columns as wide as the widest label in use or the
     widest index."""
     n = len(table)
@@ -94,7 +95,7 @@ def _text_grid(labels: list[str], table: np.ndarray) -> str:
     sep = "-" * width + "-+-" + "-" * (n * (width + 1) - 1)
     heads = [f"{a:>{width}} | " for a in range(n)]
     rows = _block([v.rjust(width) for v in shown], table, " ", heads)
-    return f"{head}\n{sep}\n" + rows.decode("ascii")
+    return [head, sep, str(rows, "ascii")]
 
 
 def emit_tables(G: FiniteGyrogroup, fmt: str = "text") -> str:
@@ -113,12 +114,15 @@ def emit_tables(G: FiniteGyrogroup, fmt: str = "text") -> str:
         return document.replace(b"\0", b"").decode("ascii")
 
     if fmt == "text":
-        # a grid ends in a newline, so the join leaves a blank line after it
-        lines = [f"cayley table (order {G.order})", _text_grid(elements, G.cayley)]
-        lines += [f"gyration table (order {G.order})", _text_grid(symbols, G.gyr_table), "legend:"]
+        # a grid's rows end in a newline, so the join leaves a blank line
+        lines = [f"cayley table (order {G.order})", *_text_grid(elements, G.cayley)]
+        lines += [f"gyration table (order {G.order})", *_text_grid(symbols, G.gyr_table)]
+        lines.append("legend:")
         for sym, p in zip(symbols, G.perms):
             lines.append(f"  {sym} = " + ("identity" if p.is_identity else p.cycle_string()))
-        return "\n".join(lines) + "\n"
+        # the empty last line ends the document in a newline; adding "\n"
+        # after the join would copy the whole document once more
+        return "\n".join([*lines, ""])
 
     raise ValueError(f"unknown format {fmt!r} (expected 'text' or 'csv')")
 
