@@ -266,8 +266,8 @@ def test_cli_import_loads_no_pool_modules():
 
 
 def test_commands_load_no_masked_arrays(tmp_path):
-    # a plain np.unique(x) imports numpy.ma on its first call, which costs a
-    # command 15-30 ms; every command runs in one fresh interpreter
+    # a plain np.unique(x) imports numpy.ma on its first call, which no
+    # command needs; every command runs in one fresh interpreter
     src = str(Path(gyrogroups.__file__).parents[1])
     path_list = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_list)))
