@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from .analyze import (
@@ -18,9 +19,9 @@ from .construct import build_cyclic_gyrogroup
 from .core import FiniteGyrogroup, GyrogroupDataError, VerificationReport, verify
 from .formats import (
     TableFormatError,
+    _table_pieces,
     emit_lattice_dot,
     emit_lattice_text,
-    emit_tables,
     load_tables,
     report_document,
 )
@@ -29,11 +30,15 @@ from .formats import (
 _ENUMERATION_CAP = 64
 
 
-def _write_output(text: str, out: str | None) -> None:
+def _write_output(pieces: Iterable[bytes], out: str | None) -> None:
+    """Write the UTF-8 pieces one at a time to the file ``out``, in binary, so
+    no newline is translated, or else to stdout."""
     if out is None:
-        sys.stdout.write(text)
+        for piece in pieces:
+            sys.stdout.write(piece.decode("utf-8"))
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "wb") as f:
+            f.writelines(pieces)
 
 
 def _print_report(report: VerificationReport) -> None:
@@ -68,7 +73,7 @@ def _report_json(
 
 def _cmd_build(args: argparse.Namespace) -> int:
     G = build_cyclic_gyrogroup(args.n)
-    _write_output(emit_tables(G, args.format), args.out)
+    _write_output(_table_pieces(G, args.format), args.out)
     return 0
 
 
@@ -87,7 +92,7 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
     G = build_cyclic_gyrogroup(args.n)
     lattice = enumerate_subgyrogroups(G)
     text = emit_lattice_dot(lattice) if args.dot else emit_lattice_text(lattice)
-    _write_output(text, args.out)
+    _write_output([text.encode("utf-8")], args.out)
     return 0
 
 

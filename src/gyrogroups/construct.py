@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import FiniteGyrogroup, Permutation
+from .core import FiniteGyrogroup, Permutation, _row_blocks
 
 __all__ = [
     "CyclicParams",
@@ -178,16 +178,19 @@ def build_cyclic_gyrogroup(n: int, *, max_n: int = DEFAULT_MAX_N) -> FiniteGyrog
 
     The Cayley table comes from :func:`oplus`, the gyration table from
     :func:`gyration_selector`, and the two image rows are the identity
-    followed by the half-shift map.
+    followed by the half-shift map.  Both tables are filled a block of rows
+    at a time, so no temporary is as large as a table.
     """
     if n > max_n:
         raise ValueError(
             f"n={n} exceeds the cap of {max_n} (tables grow as 4**n); raise max_n to override"
         )
     p = CyclicParams(n)
-    i = np.arange(p.order, dtype=np.int64)[:, None]
-    j = np.arange(p.order, dtype=np.int64)[None, :]
-    images = (np.arange(p.order), half_shift(p, np.arange(p.order)))
-    return FiniteGyrogroup(
-        oplus(p, i, j), gyration_selector(p, i, j).astype(np.uint16), images
-    )
+    cayley = np.empty((p.order, p.order), dtype=np.int32)
+    gyr = np.empty((p.order, p.order), dtype=np.uint16)
+    j = np.arange(p.order)
+    for rows in _row_blocks(p.order, p.order):
+        i = j[rows, None]
+        cayley[rows] = oplus(p, i, j)
+        gyr[rows] = gyration_selector(p, i, j)
+    return FiniteGyrogroup(cayley, gyr, (j, half_shift(p, j)))

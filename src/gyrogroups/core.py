@@ -74,7 +74,9 @@ _MIN_ROWS_PER_WORKER = 120
 _SAMPLE_CHUNK = 1 << 18
 # The cells (a ⊕ (b ⊕ c) for one pair and one c) the workers of an exhaustive
 # triple scan hold at once, split among them: a worker takes the rows in
-# blocks of _BLOCK_CELLS // (N · workers), one b at a time.
+# blocks of _BLOCK_CELLS // (N · workers), one b at a time.  Every other pass
+# over a whole table that would need a temporary as large as the table takes
+# its rows in blocks of this many cells (`_row_blocks`).
 _BLOCK_CELLS = 1 << 19
 
 
@@ -145,17 +147,42 @@ class Permutation:
         return "".join(parts) or "()"
 
 
+def _row_blocks(rows: int, width: int) -> list[slice]:
+    """The rows of a table, ``width`` cells to a row, as slices of at most
+    _BLOCK_CELLS cells each (at least one row)."""
+    height = max(1, _BLOCK_CELLS // width)
+    return [slice(lo, min(lo + height, rows)) for lo in range(0, rows, height)]
+
+
+def _integral(array: np.ndarray, name: str) -> np.ndarray:
+    """``array`` unchanged, when every entry is a whole number (2.0 is, 1.7 is
+    not); otherwise raise, naming the first entry that is not."""
+    if array.dtype.kind in "biu":
+        return array
+    with np.errstate(invalid="ignore"):
+        try:
+            whole = np.asarray(np.mod(array, 1) == 0, dtype=bool)
+        except TypeError:  # entries that are not numbers
+            whole = np.zeros(array.shape, dtype=bool)
+    if not whole.all():
+        cell = tuple(np.argwhere(~whole)[0].tolist())
+        raise GyrogroupDataError(f"{name} entry not an integer at {cell}: {array[cell]}")
+    return array
+
+
 def _as_table(values, name: str) -> np.ndarray:
-    table = np.asarray(values, dtype=np.int64)
+    """``values`` as a square array of whole numbers, in its own dtype, so a
+    narrow table is never widened."""
+    table = np.asarray(values)
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise GyrogroupDataError(f"{name} table must be square, got shape {table.shape}")
-    return table
+    return _integral(table, name)
 
 
 def _image_rows(perms, n: int) -> np.ndarray:
     """``perms``, any K×n integer array-like, checked to be bijections on 0..n-1."""
     try:
-        images = np.asarray(perms, dtype=np.int64)
+        images = np.asarray(perms)
     except ValueError:  # rows of different lengths name the first odd degree
         degrees = [np.size(row) for row in perms if np.size(row) != n]
         if not degrees:
@@ -163,6 +190,7 @@ def _image_rows(perms, n: int) -> np.ndarray:
         images = np.empty((1, degrees[0]))
     if images.ndim != 2 or images.shape[1] != n:
         raise GyrogroupDataError(f"permutation degree {np.size(images[0])} != order {n}")
+    _integral(images, "permutation")
     bijective = (np.sort(images, axis=1) == np.arange(n)).all(axis=1)
     if not bijective.all():
         row = tuple(images[np.argmin(bijective)].tolist())
@@ -179,9 +207,14 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
 
 
 def _distinct(x: np.ndarray) -> np.ndarray:
-    """The sorted distinct values of an array of non-negative integers.  A
-    plain ``np.unique(x)`` imports ``numpy.ma`` on its first call."""
-    return np.flatnonzero(np.bincount(np.ravel(x)))
+    """The sorted distinct values of an array of non-negative integers, marked
+    _BLOCK_CELLS at a time.  A plain ``np.unique(x)`` imports ``numpy.ma`` on
+    its first call."""
+    flat = np.ravel(x)
+    seen = np.zeros(int(flat.max()) + 1 if flat.size else 0, dtype=bool)
+    for cells in _row_blocks(flat.size, 1):
+        seen[flat[cells]] = True
+    return np.flatnonzero(seen)
 
 
 class FiniteGyrogroup:
@@ -208,7 +241,7 @@ class FiniteGyrogroup:
             )
 
         if gyr_table is None:
-            gyr_table = np.zeros((n, n), dtype=np.int64)
+            gyr_table = np.zeros((n, n), dtype=np.uint16)
             perms = np.arange(n)[None, :] if perms is None else perms
         gyr = _as_table(gyr_table, "gyration")
         if gyr.shape[0] != n:
@@ -227,11 +260,17 @@ class FiniteGyrogroup:
                 f"{len(first)} distinct gyrations exceed the limit of {_GYRATION_LIMIT:,}"
             )
         # rank of each row's first occurrence among the first occurrences
-        gyr = np.argsort(np.argsort(first))[index_of.reshape(-1)][gyr]
+        rank = np.argsort(np.argsort(first))[index_of.reshape(-1)].astype(np.uint16)
 
+        # the instance's own copies, so no caller can change them
         self._cayley = table.astype(np.int32)
         self._cayley.setflags(write=False)
-        self._gyr = gyr.astype(np.uint16)
+        if (rank == np.arange(len(rank))).all():  # the indices stand as they are
+            self._gyr = gyr.astype(np.uint16)
+        else:
+            self._gyr = np.empty((n, n), dtype=np.uint16)
+            for rows in _row_blocks(n, n):
+                self._gyr[rows] = rank[gyr[rows].astype(np.intp)]
         self._gyr.setflags(write=False)
         self._perm_matrix = images[np.sort(first)]
         self._perm_matrix.setflags(write=False)
@@ -418,13 +457,6 @@ def check_left_inverses(G: FiniteGyrogroup) -> CheckResult:
     return CheckResult("left_inverses", False, bad)
 
 
-def _used_gyrations(G: FiniteGyrogroup) -> np.ndarray:
-    """The indices of the gyrations the gyration table refers to, ascending."""
-    used = np.zeros(len(G.perm_matrix), dtype=bool)
-    used[G.gyr_table] = True
-    return np.flatnonzero(used)
-
-
 def _per_group(compute: Callable[[FiniteGyrogroup], object]):
     """``compute(G)``, computed on the first call for each G and then kept on
     it: its tables never change."""
@@ -442,11 +474,14 @@ def _per_group(compute: Callable[[FiniteGyrogroup], object]):
 def check_gyr_automorphisms(G: FiniteGyrogroup) -> CheckResult:
     """Every referenced gyration respects ⊕; witness (k, x, y) for perms[k]."""
     C = G.cayley
-    for k in _used_gyrations(G):
+    for k in _distinct(G.gyr_table):
         p = G.perm_matrix[k]
-        bad = _first_false(p[C] == C[p[:, None], p[None, :]])
-        if bad is not None:
-            return CheckResult("gyrations_are_automorphisms", False, (int(k), *bad))
+        for rows in _row_blocks(G.order, G.order):
+            bad = _first_false(p[C[rows]] == C[p[rows, None], p[None, :]])
+            if bad is not None:
+                return CheckResult(
+                    "gyrations_are_automorphisms", False, (int(k), rows.start + bad[0], bad[1])
+                )
     return CheckResult("gyrations_are_automorphisms", True)
 
 
@@ -467,7 +502,10 @@ def _left_cancellation_holds(G: FiniteGyrogroup) -> bool:
     """⊖x ⊕ (x ⊕ y) = y for all x, y; false when some element has no left inverse."""
     C = G.cayley
     inv = G.left_inverse_map()
-    return bool((inv >= 0).all() and (C[inv[:, None], C] == np.arange(G.order)).all())
+    return bool((inv >= 0).all() and all(
+        (C[inv[rows, None], C[rows]] == np.arange(G.order)).all()
+        for rows in _row_blocks(G.order, G.order)
+    ))
 
 
 def _pair_classes(G: FiniteGyrogroup) -> np.ndarray | None:
@@ -479,7 +517,7 @@ def _pair_classes(G: FiniteGyrogroup) -> np.ndarray | None:
     N = G.order
     C, Gy, P = G.cayley, G.gyr_table, G.perm_matrix
     inv = G.left_inverse_map().astype(np.int32)
-    used = _used_gyrations(G)
+    used = _distinct(G.gyr_table)
     # inverse[k]: the stored inverse of gyration k, or -1 where none is stored
     stored = {key: k for k, key in enumerate(_row_keys(P).tolist())}
     inverse = np.full(len(P), -1, dtype=np.int32)

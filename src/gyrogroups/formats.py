@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -20,6 +21,7 @@ from .core import (
     FiniteGyrogroup,
     VerificationReport,
     _distinct,
+    _row_blocks,
     check_left_translations,
     check_right_translations,
 )
@@ -47,9 +49,18 @@ def _symbols(G: FiniteGyrogroup) -> list[str]:
     # letters are handed out by first appearance in the gyration table
     # (row-major); permutations never referenced come after those
     identity = (G.perm_matrix == np.arange(G.order)).all(axis=1).tolist()
-    values, first = np.unique(G.gyr_table, return_index=True)
-    appearance = values[np.argsort(first)].tolist()
-    appearance += sorted(set(range(len(identity))).difference(appearance))
+    seen = np.zeros(len(identity), dtype=bool)
+    appearance = []
+    for rows in _row_blocks(G.order, G.order):
+        if seen.all():
+            break
+        # the values no earlier block holds, in order of first appearance
+        fresh = G.gyr_table[rows].ravel()
+        values, first = np.unique(fresh[~seen[fresh]], return_index=True)
+        new = values[np.argsort(first)]
+        seen[new] = True
+        appearance += new.tolist()
+    appearance += np.flatnonzero(~seen).tolist()
     names = iter([*_LETTERS, *(f"P{c}" for c in range(len(_LETTERS), len(identity)))])
     symbols = [""] * len(identity)
     for k in appearance:
@@ -66,65 +77,66 @@ def _cells(texts: list[str]) -> np.ndarray:
 
 def _block(
     labels: list[str], table: np.ndarray, sep: str, heads: list[str] | None = None
-) -> np.ndarray:
-    """The ASCII bytes of one line per row of the table, as a uint8 array:
-    the row's entry of ``heads``, then each entry v as ``labels[v] + sep``,
+) -> Iterator[bytes]:
+    """The ASCII bytes of one line per row of the table, a block of rows at a
+    time: the row's entry of ``heads``, then each entry v as ``labels[v] + sep``,
     with the line's last ``sep`` made a newline.
 
-    Each label is encoded once as a cell and the block is one gather of the
-    cells by the table.  Labels and heads of unequal width are padded with
-    NUL, which the caller removes."""
-    rows = np.take(_cells([v + sep for v in labels]), table).view(np.uint8)
-    rows = rows.reshape(len(table), -1)
-    rows[:, -1] = ord("\n")
+    Each label is encoded once as a cell and a block is one gather of the
+    cells by its rows.  Labels and heads of unequal width are padded with
+    NUL, which is removed."""
+    cells = _cells([v + sep for v in labels])
     if heads is not None:
-        rows = np.hstack([_cells(heads).view(np.uint8).reshape(len(heads), -1), rows])
-    return rows
+        head_cells = _cells(heads).view(np.uint8).reshape(len(heads), -1)
+    for rows in _row_blocks(*table.shape):
+        lines = np.take(cells, table[rows]).view(np.uint8)
+        lines[:, -1] = ord("\n")
+        if heads is not None:
+            lines = np.hstack([head_cells[rows], lines])
+        yield lines.tobytes().replace(b"\0", b"")
 
 
-def _text_grid(labels: list[str], table: np.ndarray) -> list[str]:
-    """Header, rule and the rows as one string ending in a newline,
-    right-aligned in columns as wide as the widest label in use or the
-    widest index."""
+def _text_grid(title: str, labels: list[str], table: np.ndarray) -> Iterator[bytes]:
+    """The title, header, rule and rows, then a blank line, right-aligned in
+    columns as wide as the widest label in use or the widest index."""
     n = len(table)
     # a label not in the table is blanked, or its cell could be wider
     used = set(_distinct(table).tolist())
     shown = [v if k in used else "" for k, v in enumerate(labels)]
     width = max(len(str(n - 1)), *map(len, shown))
     head = " " * width + " | " + " ".join(f"{j:>{width}}" for j in range(n))
-    sep = "-" * width + "-+-" + "-" * (n * (width + 1) - 1)
+    rule = "-" * width + "-+-" + "-" * (n * (width + 1) - 1)
+    yield f"{title}\n{head}\n{rule}\n".encode("ascii")
     heads = [f"{a:>{width}} | " for a in range(n)]
-    rows = _block([v.rjust(width) for v in shown], table, " ", heads)
-    return [head, sep, str(rows, "ascii")]
+    yield from _block([v.rjust(width) for v in shown], table, " ", heads)
+    yield b"\n"
+
+
+def _table_pieces(G: FiniteGyrogroup, fmt: str) -> Iterator[bytes]:
+    """The document of `emit_tables` as ASCII pieces of at most a block of rows
+    each."""
+    if fmt not in ("text", "csv"):
+        raise ValueError(f"unknown format {fmt!r} (expected 'text' or 'csv')")
+    symbols = _symbols(G)
+    elements = [str(x) for x in range(G.order)]
+    if fmt == "csv":
+        yield f"order,{G.order}\ncayley\n".encode("ascii")
+        yield from _block(elements, G.cayley, ",")
+        yield b"gyration\n"
+        yield from _block(symbols, G.gyr_table, ",")
+        yield from _block(elements, G.perm_matrix, " ", [f"perm {sym}: " for sym in symbols])
+        return
+    yield from _text_grid(f"cayley table (order {G.order})", elements, G.cayley)
+    yield from _text_grid(f"gyration table (order {G.order})", symbols, G.gyr_table)
+    legend = ["legend:"]
+    for sym, p in zip(symbols, G.perms):
+        legend.append(f"  {sym} = " + ("identity" if p.is_identity else p.cycle_string()))
+    yield ("\n".join(legend) + "\n").encode("ascii")
 
 
 def emit_tables(G: FiniteGyrogroup, fmt: str = "text") -> str:
     """Render both tables plus the permutation legend as one document."""
-    symbols = _symbols(G)
-    elements = [str(x) for x in range(G.order)]
-
-    if fmt == "csv":
-        document = b"".join([
-            f"order,{G.order}\ncayley\n".encode(),
-            _block(elements, G.cayley, ","),
-            b"gyration\n",
-            _block(symbols, G.gyr_table, ","),
-            _block(elements, G.perm_matrix, " ", [f"perm {sym}: " for sym in symbols]),
-        ])
-        return document.replace(b"\0", b"").decode("ascii")
-
-    if fmt == "text":
-        # a grid's rows end in a newline, so the join leaves a blank line
-        lines = [f"cayley table (order {G.order})", *_text_grid(elements, G.cayley)]
-        lines += [f"gyration table (order {G.order})", *_text_grid(symbols, G.gyr_table)]
-        lines.append("legend:")
-        for sym, p in zip(symbols, G.perms):
-            lines.append(f"  {sym} = " + ("identity" if p.is_identity else p.cycle_string()))
-        # the empty last line ends the document in a newline; adding "\n"
-        # after the join would copy the whole document once more
-        return "\n".join([*lines, ""])
-
-    raise ValueError(f"unknown format {fmt!r} (expected 'text' or 'csv')")
+    return b"".join(_table_pieces(G, fmt)).decode("ascii")
 
 
 def _parse_int(token: str, line_no: int, col: int, limit: int) -> int:
@@ -141,15 +153,25 @@ def _parse_int(token: str, line_no: int, col: int, limit: int) -> int:
     return value
 
 
-def _int_block(block: list[str], rows: int, n: int, delimiter: str | None) -> np.ndarray | None:
-    """``rows`` lines of n entries in 0..n-1, split at ``delimiter`` (None:
-    at whitespace), as one numpy conversion, or None when it cannot be sure
-    of the per-token result."""
-    # numpy misreads some non-ASCII characters as digits, and skips blank lines
-    if len(block) != rows or not all(line.isascii() and line.strip() for line in block):
+def _int_block(
+    lines: _Lines | list[str], lo: int, rows: int, n: int, delimiter: str | None
+) -> np.ndarray | None:
+    """``rows`` lines from ``lines[lo]`` on, of n entries in 0..n-1 each, split
+    at ``delimiter`` (None: at whitespace), as one numpy conversion, or None
+    when it cannot be sure of the per-token result."""
+    if lo + rows > len(lines):
         return None
+
+    def block():
+        for i in range(lo, lo + rows):
+            line = lines[i]
+            # numpy misreads some non-ASCII characters as digits, and skips blank lines
+            if not (line.isascii() and line.strip()):
+                raise ValueError(f"line {i + 1} needs the per-token rules")
+            yield line
+
     try:
-        table = np.loadtxt(block, delimiter=delimiter, dtype=np.int64, comments=None, ndmin=2)
+        table = np.loadtxt(block(), delimiter=delimiter, dtype=np.int32, comments=None, ndmin=2)
     except ValueError:
         return None
     return table if table.shape == (rows, n) and 0 <= table.min() and table.max() < n else None
@@ -161,7 +183,7 @@ def _legend_images(entries: list[tuple[int, str, str]], n: int) -> np.ndarray:
     bijection, do the per-line and per-token rules run, to name the first
     bad line and field."""
     bodies = [body for _, _, body in entries]
-    images = _int_block(bodies, len(bodies), n, None) if bodies else np.empty((0, n), np.int64)
+    images = _int_block(bodies, 0, len(bodies), n, None) if bodies else np.empty((0, n), np.int32)
     if images is not None and (np.sort(images, axis=1) == np.arange(n)).all():
         return images
     rows = []
@@ -175,28 +197,46 @@ def _legend_images(entries: list[tuple[int, str, str]], n: int) -> np.ndarray:
         if sorted(values) != list(range(n)):
             raise TableFormatError(f"line {i + 1}: permutation {sym!r} is not a bijection")
         rows.append(values)
-    return np.array(rows, dtype=np.int64)
+    return np.array(rows, dtype=np.int32)
 
 
-def load_tables(document: str | bytes, *, strict: bool = True) -> FiniteGyrogroup:
-    """Parse a CSV table document back into a gyrogroup.
+class _Lines:
+    """The lines of a document, which end at \\r\\n, \\r or \\n, each made
+    text only when read, so no more than one is held at a time.  Bytes must
+    be UTF-8; the first invalid byte raises, naming its line."""
 
-    Strict mode additionally enforces latin rows/columns and the presence of
-    an identity row (relabelled to 0 when it sits elsewhere).  Non-strict
-    loading keeps whatever the file says so that `verify` can report axiom
-    witnesses against it.  Each block is read whole; only when that fails do
-    the per-token rules below run, to name the first bad line and field.
-    """
-    if isinstance(document, bytes):
-        try:
-            document = document.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            head = document[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-            line = head.count(b"\n") + 1
-            raise TableFormatError(
-                f"line {line}: invalid UTF-8 byte {document[exc.start]:#04x}"
-            ) from None
-    lines = document.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    def __init__(self, document: str | bytes) -> None:
+        nl, cr = ("\n", "\r") if isinstance(document, str) else (b"\n", b"\r")
+        if cr in document:
+            document = document.replace(cr + nl, nl).replace(cr, nl)
+        if isinstance(document, bytes) and not document.isascii():
+            try:
+                document.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line = document.count(b"\n", 0, exc.start) + 1
+                raise TableFormatError(
+                    f"line {line}: invalid UTF-8 byte {document[exc.start]:#04x}"
+                ) from None
+        self.document = document
+        # line i runs from starts[i] to the newline before starts[i + 1]
+        self.starts = [0]
+        while (end := document.find(nl, self.starts[-1])) >= 0:
+            self.starts.append(end + 1)
+        self.starts.append(len(document) + 1)
+
+    def __len__(self) -> int:
+        return len(self.starts) - 1
+
+    def __getitem__(self, i: int) -> str:
+        line = self.document[self.starts[i] : self.starts[i + 1] - 1]
+        return line if isinstance(line, str) else line.decode("utf-8")
+
+
+def _read_tables(document: str | bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Cayley table, the gyration table as indices into the legend, and
+    the legend's image rows of a CSV document, each in a narrow integer type.
+    The document's text and lines live in this call only."""
+    lines = _Lines(document)
 
     def line_at(i: int) -> str:
         if i >= len(lines):
@@ -215,7 +255,7 @@ def load_tables(document: str | bytes, *, strict: bool = True) -> FiniteGyrogrou
 
     if line_at(1).strip() != "cayley":
         raise TableFormatError("line 2: expected 'cayley' section marker")
-    cayley = _int_block(lines[2 : 2 + n], n, n, ",")
+    cayley = _int_block(lines, 2, n, n, ",")
     if cayley is None:
         # rows are kept as lists, so a huge stated order allocates nothing
         rows = []
@@ -227,17 +267,15 @@ def load_tables(document: str | bytes, *, strict: bool = True) -> FiniteGyrogrou
                     f"line {line_no + 1}: expected {n} fields, got {len(tokens)}"
                 )
             rows.append([_parse_int(t.strip(), line_no + 1, j, n) for j, t in enumerate(tokens)])
-        cayley = np.array(rows, dtype=np.int64)
+        cayley = np.array(rows, dtype=np.int32)
 
     gyr_marker = 2 + n
     if line_at(gyr_marker).strip() != "gyration":
         raise TableFormatError(f"line {gyr_marker + 1}: expected 'gyration' section marker")
-    symbol_lines: list[str] = []
     for a in range(n):
         line_no = gyr_marker + 1 + a
-        symbol_lines.append(line_at(line_no))
         # stripping removes no commas, so this counts the stripped fields
-        count = symbol_lines[-1].count(",") + 1
+        count = line_at(line_no).count(",") + 1
         if count != n:
             raise TableFormatError(f"line {line_no + 1}: expected {n} fields, got {count}")
 
@@ -265,11 +303,13 @@ def load_tables(document: str | bytes, *, strict: bool = True) -> FiniteGyrogrou
     perms = _legend_images(entries, n)
 
     # legend symbols are stripped, so a field found as it stands needs no
-    # strip; only rows with a field not found are split again
-    syms = itertools.chain.from_iterable(line.split(",") for line in symbol_lines)
-    gyr = np.fromiter(map(legend.get, syms, itertools.repeat(-1)), np.int64, n * n).reshape(n, n)
-    for a in np.flatnonzero((gyr < 0).any(axis=1)).tolist():
-        for b, field in enumerate(symbol_lines[a].strip().split(",")):
+    # strip; only rows with a field not found (index K) are split again
+    K = len(entries)
+    syms = itertools.chain.from_iterable(lines[gyr_marker + 1 + a].split(",") for a in range(n))
+    gyr = np.fromiter(map(legend.get, syms, itertools.repeat(K)), np.min_scalar_type(K), n * n)
+    gyr = gyr.reshape(n, n)
+    for a in np.flatnonzero(gyr.max(axis=1) == K).tolist():
+        for b, field in enumerate(lines[gyr_marker + 1 + a].strip().split(",")):
             sym = field.strip()
             if sym not in legend:
                 raise TableFormatError(
@@ -277,7 +317,21 @@ def load_tables(document: str | bytes, *, strict: bool = True) -> FiniteGyrogrou
                     f"symbol {sym!r} is not defined in the legend"
                 )
             gyr[a, b] = legend[sym]
+    return cayley, gyr, perms
 
+
+def load_tables(document: str | bytes, *, strict: bool = True) -> FiniteGyrogroup:
+    """Parse a CSV table document back into a gyrogroup.
+
+    Strict mode additionally enforces latin rows/columns and the presence of
+    an identity row (relabelled to 0 when it sits elsewhere).  Non-strict
+    loading keeps whatever the file says so that `verify` can report axiom
+    witnesses against it.  Each block is read whole; only when that fails do
+    the per-token rules of `_read_tables` run, to name the first bad line and
+    field.
+    """
+    cayley, gyr, perms = _read_tables(document)
+    n = len(cayley)
     if strict:
         block = FiniteGyrogroup.from_group(cayley)
         checks = {"row": check_left_translations, "column": check_right_translations}
@@ -294,7 +348,7 @@ def load_tables(document: str | bytes, *, strict: bool = True) -> FiniteGyrogrou
     if not identity_rows.size and strict:
         raise TableFormatError("no left-identity row found")
     if identity_rows.size and identity_rows[0] != 0:
-        sigma = np.arange(n)
+        sigma = np.arange(n, dtype=np.int32)
         sigma[[0, identity_rows[0]]] = sigma[[identity_rows[0], 0]]
         cayley = sigma[cayley[sigma[:, None], sigma[None, :]]]
         gyr = gyr[sigma[:, None], sigma[None, :]]

@@ -16,6 +16,7 @@ from gyrogroups import (
 )
 
 import reference_tables as ref
+from test_formats import traced_peak_mib
 from construct_reference import (
     ref_gyration_selector,
     ref_half_shift,
@@ -217,3 +218,9 @@ def test_not_associative():
     lhs = oplus(p3, oplus(p3, 4, 1), 1)
     rhs = oplus(p3, 4, oplus(p3, 1, 1))
     assert lhs == 4 and rhs == 6 and lhs != rhs
+
+
+def test_build_peak_memory_at_order_1024():
+    # the tables are filled a block of rows at a time, and the constructor
+    # copies them as they are (15.1 MiB); whole int64 tables took 26 MiB
+    assert traced_peak_mib(build_cyclic_gyrogroup, 10) <= 18.0

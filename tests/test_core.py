@@ -1037,3 +1037,51 @@ def test_constructor_checks_image_rows_in_one_pass():
     G = FiniteGyrogroup(z2, [[0, 1], [1, 0]], [Permutation((1, 0)), np.arange(2)])
     assert G.perm_matrix.tolist() == [[1, 0], [0, 1]]
     assert G.perms is G.perms and G.gyration(0, 1) is G.perms[1]
+
+
+def test_constructor_rejects_entries_that_are_not_whole_numbers():
+    # such entries were truncated (1.7 read as 1), or overflowed int64
+    z2, gyr = [[0, 1], [1, 0]], [[0, 0], [0, 0]]
+    cases = [
+        (([[0, 1.7], [1, 0]],), "cayley entry not an integer at (0, 1): 1.7"),
+        (([[0, 1], [float("nan"), 0]],), "cayley entry not an integer at (1, 0): nan"),
+        ((z2, [[0, 0], [0.9, 0]], [(0, 1)]), "gyration entry not an integer at (1, 0): 0.9"),
+        ((z2, gyr, [(0, 1), (1.5, 0)]), "permutation entry not an integer at (1, 0): 1.5"),
+        ((np.array([[0, 1], [1, 0]], dtype=object),), None),
+        (([[0, 2**63], [1, 0]],), "cayley entry out of range at (0, 1)"),
+        (([[0, 1], [2**64, 0]],), "cayley entry out of range at (1, 0): 18446744073709551616"),
+        ((z2, [[0, 2**64], [0, 0]], [(0, 1)]), "gyration table references an undefined"),
+        ((z2, gyr, [(0, 2**64)]), "not a bijection on 0..1: (0, 18446744073709551616)"),
+        (([["0", "1"], ["1", "0"]],), "cayley entry not an integer at (0, 0): 0"),
+    ]
+    for args, message in cases:
+        if message is None:
+            assert FiniteGyrogroup(*args).cayley.tolist() == z2
+            continue
+        with pytest.raises(GyrogroupDataError, match=re.escape(message)):
+            FiniteGyrogroup(*args)
+    # whole-number floats are read as the integers they are
+    G = FiniteGyrogroup([[0.0, 1.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]],
+                        [(0.0, 1.0), (1.0, 0.0)])
+    assert G.cayley.dtype == np.int32 and G.cayley.tolist() == z2
+    assert G.gyr_table.tolist() == [[0, 0], [0, 1]]
+    assert G.perm_matrix.tolist() == [[0, 1], [1, 0]]
+
+
+def test_constructor_keeps_narrow_tables_narrow_and_its_own(monkeypatch):
+    # an int32 or uint16 table is range-checked as it stands and copied once
+    G = build_cyclic_gyrogroup(4)
+    cayley, gyr = G.cayley.copy(), G.gyr_table.copy()
+    H = FiniteGyrogroup(cayley, gyr, G.perm_matrix)
+    cayley[0, 0] = gyr[0, 0] = 1
+    assert H.cayley[0, 0] == 0 and H.gyr_table[0, 0] == 0
+    assert not H.cayley.flags.writeable and not H.gyr_table.flags.writeable
+    # a repeated image row is renumbered to its first occurrence, in blocks
+    # of 3 rows and a last block of one
+    monkeypatch.setattr(core, "_BLOCK_CELLS", 48)
+    identity, shift = G.perm_matrix
+    H = FiniteGyrogroup(G.cayley, np.where(G.gyr_table == 1, 2, 1).astype(np.uint8),
+                        [shift, identity, shift])
+    assert H.gyr_table.dtype == np.uint16
+    assert np.array_equal(H.gyr_table, 1 - G.gyr_table)
+    assert H.perm_matrix.tolist() == [shift.tolist(), identity.tolist()]

@@ -1,10 +1,12 @@
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gyrogroups import core, formats
 from gyrogroups import (
     FiniteGyrogroup,
     GyrogroupDataError,
@@ -23,6 +25,16 @@ from gyrogroups import (
 
 from formats_reference import ref_emit_tables, ref_load_tables
 from witness_checks import witness_confirms
+
+
+def traced_peak_mib(fn, *args, **kwargs) -> float:
+    """The peak memory numpy and Python allocate in ``fn(*args, **kwargs)``."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def test_csv_golden_row(g4):
@@ -228,7 +240,7 @@ def load_outcome(load, doc, strict):
     return G.cayley.tolist(), G.gyr_table.tolist(), G.perm_matrix.tolist()
 
 
-def test_emit_matches_reference_past_the_letters():
+def test_emit_matches_reference_past_the_letters(monkeypatch):
     # 40 gyrations in the table and 4 never referenced, so symbols run on
     # from the letters to P25..P42 and the two grids differ in width; and a
     # table of I and A alone, whose 29 unreferenced symbols run to P29, wider
@@ -238,11 +250,17 @@ def test_emit_matches_reference_past_the_letters():
     perms = [tuple(range(8))] + sorted(images)[:43]
     cases = [
         # with and without the identity in the table
-        (rng.permutation(np.resize(np.arange(low, low + 40), 64)).reshape(8, 8), perms, "P42")
+        (rng.permutation(np.resize(np.arange(low, low + 40), 64)).reshape(8, 8), perms, "P42", None)
         for low in (0, 1)
     ]
-    cases.append((np.eye(8, dtype=np.int64), perms[:31], "P29"))
-    for gyr, legend, last in cases:
+    cases.append((np.eye(8, dtype=np.int64), perms[:31], "P29", None))
+    # the first table again, in blocks of 3, 3 and 2 rows, so the first
+    # appearances of the symbols span blocks
+    cases.append((*cases[0][:3], 24))
+    for gyr, legend, last, block_cells in cases:
+        if block_cells is not None:
+            monkeypatch.setattr(core, "_BLOCK_CELLS", block_cells)
+            assert [rows.stop - rows.start for rows in core._row_blocks(8, 8)] == [3, 3, 2]
         G = FiniteGyrogroup(cyclic_group(8), gyr, legend)
         assert len(G.perm_matrix) == len(legend)
         for fmt in ("csv", "text"):
@@ -343,3 +361,26 @@ def test_load_matches_reference_on_mutated_documents(doc, strict):
         assert expected[0] in (ValueError, MemoryError) and got[0] is TableFormatError
         return
     assert got == expected
+
+
+# ------------------------------------------------------------ memory at 1024
+# Each pass over a table of order 1024 holds at most a block of rows in
+# temporaries (no int64 or intp copy of a whole table), beside the tables.
+
+
+@pytest.fixture(scope="module")
+def g1024():
+    return build_cyclic_gyrogroup(10)
+
+
+def test_load_peak_memory_at_order_1024(g1024):
+    # the blocks are read into int32 and uint8 arrays, and the lines one at
+    # a time; the tables and the constructor's copies make 11.0 MiB
+    data = emit_tables(g1024, "csv").encode("ascii")
+    assert traced_peak_mib(load_tables, data, strict=False) <= 13.5
+
+
+@pytest.mark.parametrize("fmt, bound", [("text", 14.0), ("csv", 13.5)])
+def test_emit_pieces_peak_memory_at_order_1024(g1024, fmt, bound):
+    # a block's gather and its bytes (11.7 and 11.0 MiB), not the document
+    assert traced_peak_mib(lambda: sum(map(len, formats._table_pieces(g1024, fmt)))) <= bound

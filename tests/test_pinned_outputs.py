@@ -58,6 +58,15 @@ def test_cli_stdout_is_pinned(capsys, argv):
     assert sha256(capsys.readouterr().out) == PINNED[argv]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+def test_build_file_is_pinned(tmp_path, fmt):
+    # --out writes the pieces in binary, the bytes stdout shows
+    out = tmp_path / f"t.{fmt}"
+    assert main(["build", "--n", "10", "--format", fmt, "--out", str(out)]) == 0
+    argv = ("build", "--n", "10") + (("--format", "csv") if fmt == "csv" else ())
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED[argv]
+
+
 def test_verify_report_is_pinned(tmp_path, capsys):
     report = tmp_path / "report.json"
     assert main(["verify", "--n", "5", "--report", str(report)]) == 0
