@@ -26,6 +26,7 @@ from .core import (
     _close,
     _distinct,
     _row_keys,
+    _row_positions,
     check_left_gyroassociativity,
 )
 from .groups import (
@@ -308,13 +309,6 @@ def gyroautomorphism_group(G: FiniteGyrogroup) -> np.ndarray:
     return gamma
 
 
-def _row_index(sorted_rows: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Position of each of ``rows`` in ``sorted_rows``, which holds them all
-    and is sorted and duplicate-free, as ``np.unique(..., axis=0)`` leaves it."""
-    _, inverse = np.unique(np.concatenate([sorted_rows, rows]), axis=0, return_inverse=True)
-    return inverse.reshape(-1)[len(sorted_rows):]
-
-
 @dataclass(frozen=True, eq=False)
 class GyroholomorphGroup:
     """Group on pairs (element, gyroautomorphism) under the twisted product."""
@@ -332,9 +326,8 @@ def _holomorph_table(G: FiniteGyrogroup) -> np.ndarray:
     gamma = gyroautomorphism_group(G)
     k, N = gamma.shape
     # comp[i, j] is the index of Γ_i ∘ Γ_j; gyr[x, y] is the index of gyr[x, y] in Γ
-    comp = _row_index(gamma, gamma[:, gamma].reshape(-1, N)).reshape(k, k)
-    used, position = np.unique(G.gyr_table, return_inverse=True)
-    gyr = _row_index(gamma, G.perm_matrix[used])[position].reshape(N, N)
+    comp = _row_positions(gamma, gamma[:, gamma].reshape(-1, N)).reshape(k, k)
+    gyr = _row_positions(gamma, G.perm_matrix)[G.gyr_table]
     x = np.arange(N)[:, None, None]
     Xy = gamma[None, :, :]  # X(y), over (x, X, y)
     twist = comp[gyr[x, Xy], np.arange(k)[None, :, None]]
@@ -491,7 +484,7 @@ def restrict(G: FiniteGyrogroup, elements) -> FiniteGyrogroup:
     escapes the subset or whose gyration, where it first appears, maps a
     member out of it; the sum is checked first.
     """
-    subset = np.array(sorted(int(e) for e in elements), dtype=np.int64)
+    subset = np.array(sorted({int(e) for e in elements}), dtype=np.int64)
     if subset[:1].tolist() != [0] or subset[-1] >= G.order:
         raise ValueError(f"subset must contain the identity 0 and lie in 0..{G.order - 1}")
     k = len(subset)

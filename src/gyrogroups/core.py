@@ -67,16 +67,16 @@ SAMPLE_SIZE = 10_000_000
 SAMPLE_SEED = 1729
 # Gyration indices are stored as uint16.
 _GYRATION_LIMIT = 1 << 16
-# A triple scan of order N runs a worker per CPU available to the process, but
-# at most N // _MIN_ROWS_PER_WORKER, so threads start from order 240 up.
+# A sampled triple scan of order N runs a worker per CPU available to the
+# process, but at most N // _MIN_ROWS_PER_WORKER.
 _MIN_ROWS_PER_WORKER = 120
 # The triples a sampled scan holds drawn at once, split among its workers.
 _SAMPLE_CHUNK = 1 << 18
-# The cells (a ⊕ (b ⊕ c) for one pair and one c) the workers of an exhaustive
-# triple scan hold at once, split among them: a worker takes the rows in
-# blocks of _BLOCK_CELLS // (N · workers), one b at a time.  Every other pass
-# over a whole table that would need a temporary as large as the table takes
-# its rows in blocks of this many cells (`_row_blocks`).
+# The cells (a ⊕ (b ⊕ c) for one pair and one c) an exhaustive triple scan
+# holds at once: it takes the rows in blocks of _BLOCK_CELLS // N, one b at a
+# time.  Every other pass over a whole table that would need a temporary as
+# large as the table takes its rows in blocks of this many cells
+# (`_row_blocks`).
 _BLOCK_CELLS = 1 << 19
 
 
@@ -204,6 +204,16 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     rows, but keys do not sort in the rows' order."""
     key = np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))
     return np.ascontiguousarray(rows).view(key).ravel()
+
+
+def _row_positions(rows: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """The index of each row of ``queries`` among the distinct ``rows``, or -1
+    where it is none of them."""
+    keys = _row_keys(rows)
+    order = np.argsort(keys)
+    wanted = _row_keys(queries.astype(rows.dtype, copy=False))
+    found = order[np.minimum(np.searchsorted(keys, wanted, sorter=order), len(keys) - 1)]
+    return np.where(keys[found] == wanted, found, -1)
 
 
 def _distinct(x: np.ndarray) -> np.ndarray:
@@ -420,7 +430,9 @@ def _first_false(ok: np.ndarray) -> tuple[int, ...] | None:
 def _translations(name: str, rows: np.ndarray) -> CheckResult:
     """Every row of ``rows`` is a permutation; witness (i, j1, j2): the first
     bad row i, the first j2 whose value stood earlier in the row, first at j1."""
-    ok = (np.sort(rows, axis=1) == np.arange(len(rows))).all(axis=1)
+    ok = np.empty(len(rows), dtype=bool)
+    for block in _row_blocks(len(rows), len(rows)):
+        ok[block] = (np.sort(rows[block], axis=1) == np.arange(len(rows))).all(axis=1)
     if ok.all():
         return CheckResult(name, True)
     i = int(np.argmin(ok))
@@ -519,10 +531,8 @@ def _pair_classes(G: FiniteGyrogroup) -> np.ndarray | None:
     inv = G.left_inverse_map().astype(np.int32)
     used = _distinct(G.gyr_table)
     # inverse[k]: the stored inverse of gyration k, or -1 where none is stored
-    stored = {key: k for k, key in enumerate(_row_keys(P).tolist())}
     inverse = np.full(len(P), -1, dtype=np.int32)
-    inverses = _row_keys(np.argsort(P[used], axis=1).astype(P.dtype)).tolist()
-    inverse[used] = [stored.get(key, -1) for key in inverses]
+    inverse[used] = _row_positions(P, np.argsort(P[used], axis=1))
 
     # pair p = (a, b) is a·N + b, and the work goes in blocks of rows
     step = max(1, _BLOCK_CELLS // (32 * N))
@@ -576,7 +586,7 @@ def _pair_classes(G: FiniteGyrogroup) -> np.ndarray | None:
 
 
 def _scan_workers(N: int) -> int:
-    """The worker count of a triple scan of order N."""
+    """The worker count of a sampled triple scan of order N."""
     import os
 
     if hasattr(os, "sched_getaffinity"):
@@ -622,31 +632,19 @@ def _first_triple_violation(
     a ⊕ b by pair, and ``a_bc`` holds a ⊕ (b ⊕ c) with c = P⁻¹(w) in column
     w, P = gyr[a,b]; C is the Cayley table in its narrowest type.
 
-    Each worker (`_scan_workers`) takes a range of b's holding an equal share
-    of the pairs.  Row 0 goes first, as many b's at once as a block holds
-    rows, and its smallest failing pair is the smallest of all; only then is
-    ``pairs()`` called.  The other rows go in blocks of
-    _BLOCK_CELLS // (N · workers), the b's in order, each over its rows
-    before the smallest failing pair so far: the rows of one b and one P are
-    one gather by the index b ⊕ P⁻¹(w).  A worker stops at its first block
-    with a violation and lowers a shared limit a·N + b, and every worker
-    skips the pairs past it; the smallest recorded witness is the answer
-    however the threads run.
+    The scan runs in the calling thread.  Row 0 goes first, in blocks of
+    _BLOCK_CELLS // N b's, and its smallest failing pair is the smallest of
+    all; only then is ``pairs()`` called.  The other rows go in blocks of
+    _BLOCK_CELLS // N rows, the b's in order, each over the rows above the
+    smallest failing one so far: the rows of one b and one P are one gather
+    by the index b ⊕ P⁻¹(w).  The first block with a violation holds the
+    smallest witness.
     """
-    import threading
-
     N = G.order
     C = G.cayley.astype(np.min_scalar_type(N - 1))
     P = G.perm_matrix
     Gy = G.gyr_table
-    workers = _scan_workers(N)
-    height = max(1, _BLOCK_CELLS // (N * workers))
-    blocks = [*range(1, N, height), N]
-    mask = None  # the pairs of rows 1.. to scan, or None for all
-    bounds = [N * w // workers for w in range(workers + 1)]  # the edges of the b-ranges
-    lock = threading.Lock()
-    found: list[tuple[int, ...]] = []
-    limit = N * N  # no pair at a·N + b >= limit holds the smallest witness
+    height = max(1, _BLOCK_CELLS // N)
 
     def row_violation(lo: int, hi: int) -> tuple[int, ...] | None:
         """Smallest failing (0, b, c) with lo <= b < hi, or None."""
@@ -691,56 +689,22 @@ def _first_triple_violation(
         j = failing[np.argmin(a[failing])]
         return int(a[j]), int(np.argmin(ok[j][P[gyr[j]]]))
 
-    def block_violation(a0: int, a1: int, lo: int, hi: int) -> tuple[int, ...] | None:
+    for lo in range(0, N, height):
+        bad = row_violation(lo, min(lo + height, N))
+        if bad is not None:
+            return bad
+    mask = pairs()  # the pairs of rows 1.. to scan, or None for all
+    for a0 in range(1, N, height):
         best = None
-        for b in range(lo, hi):
-            # the rows a with a·N + b below the limit and the best so far
-            bound = min(limit, N * N if best is None else best[0] * N + best[1])
-            top = min(a1, -((b - bound) // N))
-            if top <= a0:
-                continue
+        for b in range(N):
+            top = min(a0 + height, N) if best is None else best[0]
             a = np.arange(a0, top) if mask is None else a0 + np.flatnonzero(mask[a0:top, b])
             bad = column_violation(a, b) if len(a) else None
             if bad is not None:
                 best = (bad[0], b, bad[1])
-        return best
-
-    def record(bad: tuple[int, ...]) -> None:
-        nonlocal limit
-        with lock:
-            found.append(bad)
-            limit = min(limit, bad[0] * N + bad[1])
-
-    def scan_row_0(w: int) -> None:
-        for lo in range(bounds[w], bounds[w + 1], height):
-            if lo >= limit:
-                return
-            bad = row_violation(lo, min(lo + height, bounds[w + 1]))
-            if bad is not None:
-                return record(bad)
-
-    def scan(w: int) -> None:
-        for a0, a1 in zip(blocks, blocks[1:]):
-            if a0 * N >= limit:
-                return
-            bad = block_violation(a0, a1, bounds[w], bounds[w + 1])
-            if bad is not None:
-                return record(bad)
-
-    def stop() -> None:
-        nonlocal limit
-        with lock:
-            limit = -1
-
-    _run_workers(workers, scan_row_0, stop)
-    if not found:
-        mask = pairs()
-        if mask is not None:  # b-ranges with equal shares of the pairs
-            share = np.cumsum(mask.sum(axis=0))
-            cuts = np.searchsorted(share, share[-1] * np.arange(1, workers) / workers) + 1
-            bounds = [0, *cuts.tolist(), N]
-        _run_workers(workers, scan, stop)
-    return min(found, default=None)
+        if best is not None:
+            return best
+    return None
 
 
 def _first_gyroassoc_violation(
@@ -815,11 +779,11 @@ def _gyrator_identity(G: FiniteGyrogroup, assoc: CheckResult | None) -> CheckRes
 def check_gyrocommutative(G: FiniteGyrogroup) -> CheckResult:
     """a ⊕ b = gyr[a,b](b ⊕ a) for all pairs; witness (a, b)."""
     C = G.cayley
-    rhs = G.perm_matrix[G.gyr_table, C.T]
-    bad = _first_false(C == rhs)
-    if bad is None:
-        return CheckResult("gyrocommutativity", True)
-    return CheckResult("gyrocommutativity", False, bad)
+    for rows in _row_blocks(G.order, G.order):
+        bad = _first_false(C[rows] == G.perm_matrix[G.gyr_table[rows], C.T[rows]])
+        if bad is not None:
+            return CheckResult("gyrocommutativity", False, (rows.start + bad[0], bad[1]))
+    return CheckResult("gyrocommutativity", True)
 
 
 class _FlatTable:

@@ -416,6 +416,14 @@ def outcome(f, *args):
     return H.cayley.tolist(), H.gyr_table.tolist(), H.perm_matrix.tolist()
 
 
+def test_restrict_takes_the_elements_as_a_set(g3):
+    # a repeated element names the same subset, as in `closure`
+    expected = outcome(restrict, g3, [0, 4])
+    assert outcome(restrict, g3, [0, 4, 4]) == expected
+    assert outcome(restrict, g3, (4, 0, 0, 4)) == expected
+    assert expected[0] == [[0, 1], [1, 0]]
+
+
 def test_restrict_matches_pairwise_reference():
     # lattice nodes restrict; adding or dropping one element breaks closure
     for n in range(3, 7):

@@ -252,8 +252,8 @@ def test_check_report_ends_when_gyrations_generate_s8(tmp_path):
 
 
 def test_cli_import_loads_no_pool_modules():
-    # the threaded triple scans use threading alone, so no command pays for
-    # importing a pool module at startup
+    # the sampled triple scan's workers use threading alone, so no command
+    # pays for importing a pool module at startup
     src = str(Path(gyrogroups.__file__).parents[1])
     path_list = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_list)))

@@ -93,6 +93,12 @@ def test_constructor_keeps_first_occurrences_in_order():
     assert G.perm_matrix.tolist() == [[2, 0, 1], [1, 2, 0], [0, 1, 2]]
 
 
+def test_row_positions_find_each_row_or_minus_one():
+    rows = np.array([[2, 0, 1], [0, 1, 2], [1, 2, 0]], dtype=np.int32)
+    queries = np.array([[0, 1, 2], [2, 1, 0], [2, 0, 1], [9, 9, 9], [1, 2, 0]])
+    assert core._row_positions(rows, queries).tolist() == [1, -1, 0, -1, 2]
+
+
 def test_left_inverse_map_is_the_smallest_left_inverse():
     rng = np.random.default_rng(11)
     for _ in range(50):
@@ -113,6 +119,29 @@ def test_translation_witnesses_match_reference(g3):
     for G in cases:
         assert check_left_translations(G) == ref_left_translations(G)
         assert check_right_translations(G) == ref_right_translations(G)
+
+
+@pytest.mark.parametrize("check, witness", [
+    (check_left_translations, (700, 3, 4)),
+    (check_right_translations, (3, 700, 701)),
+    (check_gyrocommutative, (3, 700)),
+], ids=["left translations", "right translations", "gyrocommutativity"])
+def test_pair_check_peak_memory_at_order_1024(check, witness):
+    # the checks take the table in row blocks; a whole N×N sorted copy or
+    # gathered right-hand side alone would be 4 MB
+    G = build_cyclic_gyrogroup(10)
+    cayley = G.cayley.copy()
+    cayley[700, 3] = cayley[700, 4]
+    broken = FiniteGyrogroup(cayley, G.gyr_table, G.perm_matrix)
+    for table, expected in ((G, None), (broken, witness)):
+        tracemalloc.start()
+        try:
+            result = check(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.witness == expected
+        assert peak <= 3.5e6
 
 
 def test_constructor_rejects_gyration_index_overflow():
@@ -499,7 +528,7 @@ def test_pair_classes_past_uint16_products(monkeypatch):
     assert not verify(G).check("left_gyroassociativity").passed
 
 
-# ------------------------------------------------------ threaded triple scans
+# ------------------------------------------------------ triple scans and CPUs
 
 
 def _planted(n, cells):
@@ -520,8 +549,9 @@ def _planted(n, cells):
 
 @pytest.fixture(params=[2, 8], ids=["2 cpus", "8 cpus"])
 def scan_threads(request, monkeypatch):
-    """The CPUs the scans see, and the threads they start.  With 8, an
-    order-512 scan runs four workers, which switch as often as they can."""
+    """The CPUs the sampled scans see, and the threads they start.  With 8,
+    an order-1024 scan runs eight workers, which switch as often as they
+    can."""
     cpus = request.param
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     started = []
@@ -542,8 +572,21 @@ def scan_threads(request, monkeypatch):
     assert all(not thread.is_alive() for thread in started)
 
 
-# (a, b, c) cells for order 512, where 2 cpus cut the b's at 256, and 8 cpus,
-# four workers of at least 120 b's, at 128, 256 and 384
+class NoThread:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("the scan started a thread")
+
+
+@pytest.fixture(params=[2, 8], ids=["2 cpus", "8 cpus"])
+def no_thread(request, monkeypatch):
+    """The CPUs the exhaustive scans see, where starting a thread fails: they
+    run in the calling thread however many CPUs there are."""
+    cpus = request.param
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(threading, "Thread", NoThread)
+
+
+# (a, b, c) cells for order 512
 PLANTED = {
     "row 0": [(0, 5, 7)],
     "row N-1": [(511, 300, 3)],
@@ -560,21 +603,21 @@ def _planted_case(case):
 
 
 @pytest.mark.parametrize("case", list(PLANTED))
-def test_threaded_scan_finds_smallest_witness(case, scan_threads):
+def test_threaded_scan_finds_smallest_witness(case, no_thread):
+    # the swapped gyrations are no automorphisms, so the scan takes every pair
     G, reference = _planted_case(case)
+    assert core._pair_classes(G) is None
     result = check_left_gyroassociativity(G)
     assert result.witness == min(PLANTED[case]) == reference
     assert witness_confirms(G, result)
     assert check_gyrator_identity(G).witness == result.witness
-    assert len(scan_threads) >= 1
 
 
-def test_threaded_scan_passes_at_order_512(scan_threads):
+def test_threaded_scan_passes_at_order_512(no_thread):
     assert verify(build_cyclic_gyrogroup(9)).passed
-    assert len(scan_threads) >= 1
 
 
-def test_threaded_gyrator_scan_without_left_cancellation(scan_threads):
+def test_threaded_gyrator_scan_without_left_cancellation(no_thread):
     # a repeat in row 3 keeps every left inverse but breaks left cancellation,
     # so the gyrator identity gets a row scan of its own
     G = build_cyclic_gyrogroup(9)
@@ -587,43 +630,6 @@ def test_threaded_gyrator_scan_without_left_cancellation(scan_threads):
         result = check(broken)
         assert result.witness == reference(broken)
         assert witness_confirms(broken, result)
-    assert len(scan_threads) >= 2
-
-
-class NoThread:
-    def __init__(self, *args, **kwargs):
-        raise AssertionError("the scan started a thread")
-
-
-@pytest.mark.parametrize("n", [5, 7])
-def test_scan_below_the_gate_starts_no_thread(monkeypatch, n):
-    # order 128 is the largest construction below the gate, 2 * 120
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    monkeypatch.setattr(threading, "Thread", NoThread)
-    assert (1 << n) < 2 * core._MIN_ROWS_PER_WORKER
-    assert check_left_gyroassociativity(build_cyclic_gyrogroup(n)).passed
-    cells = [((1 << n) - 1, 20, 9), ((1 << n) - 1, 1, 29)]
-    G = _planted(n, cells)
-    assert check_left_gyroassociativity(G).witness == min(cells) == ref_gyroassoc_witness(G)
-
-
-def test_scan_on_one_cpu_starts_no_thread(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(threading, "Thread", NoThread)
-    G, reference = _planted_case("row a's later b-range beats row a+1")
-    assert check_left_gyroassociativity(G).witness == reference
-
-
-def test_scan_error_in_a_worker_reaches_the_caller(scan_threads):
-    caller = threading.current_thread()
-
-    def holds(C, ab, a_bc):
-        if threading.current_thread() is not caller:
-            raise MemoryError("worker failed")
-        return np.ones(a_bc.shape, dtype=bool)
-
-    with pytest.raises(MemoryError, match="worker failed"):
-        core._first_triple_violation(build_cyclic_gyrogroup(9), holds)
 
 
 # --------------------------------------------------------- block scan kernel
@@ -643,27 +649,22 @@ BLOCK_EDGES = {
 
 
 def _blocks_of_16_rows(monkeypatch):
-    """Blocks of 16 rows at order 64, and a worker per 16 b's on the CPUs
-    the scan sees."""
-    monkeypatch.setattr(core, "_MIN_ROWS_PER_WORKER", 16)
-    monkeypatch.setattr(core, "_BLOCK_CELLS", 16 * 64 * core._scan_workers(64))
+    """Blocks of 16 rows at order 64."""
+    monkeypatch.setattr(core, "_BLOCK_CELLS", 16 * 64)
 
 
 @pytest.mark.parametrize("case", list(BLOCK_EDGES))
-def test_block_edges_give_the_smallest_witness(case, scan_threads, monkeypatch):
+def test_block_edges_give_the_smallest_witness(case, no_thread, monkeypatch):
     _blocks_of_16_rows(monkeypatch)
     G = _planted(6, BLOCK_EDGES[case])
     assert check_left_gyroassociativity(G).witness == min(BLOCK_EDGES[case])
     _assert_triple_witnesses(G)
-    assert len(scan_threads) >= 1
 
 
 @pytest.mark.parametrize("column", range(1, 64))
 def test_b_range_edges_with_a_class_mask(column, monkeypatch):
-    # the b-ranges of four workers split the class minima evenly, so their
-    # edges may fall at any column; planted at the last class minimum of one
-    # column and the first past row 0 of the next, the smaller pair wins
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    # planted at the last class minimum of one column and the first past row
+    # 0 of the next, the smaller pair wins
     _blocks_of_16_rows(monkeypatch)
     mask = core._pair_classes(build_cyclic_gyrogroup(6))
     late = np.flatnonzero(mask[:, column - 1])[-1]
@@ -719,10 +720,9 @@ def test_scan_matches_reference_on_random_small_tables(table_and_rows):
         _assert_triple_witnesses(G)
 
 
-def test_scan_peak_memory_at_order_512(monkeypatch):
-    # each worker holds a few block-sized temporaries, and two peak near
-    # 3.2 MB; an N×N intp index alone would add 2 MB
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+def test_scan_peak_memory_at_order_512():
+    # the scan holds a few block-sized temporaries and peaks near 3.3 MB with
+    # the classes; an N×N intp index alone would add 2 MB
     G = build_cyclic_gyrogroup(9)
     gyr = np.array(G.gyr_table)
     gyr[511, 0] ^= 1
@@ -739,7 +739,8 @@ def test_scan_peak_memory_at_order_512(monkeypatch):
 @pytest.mark.parametrize("cpus", [2, 4])
 def test_scan_peak_memory_without_classes_at_order_512(monkeypatch, cpus):
     # a gyration that is no automorphism keeps `verify` off the class scan;
-    # the workers share one budget of cells, so the peak does not grow with them
+    # the scan runs in the calling thread, so its peak, near 2.4 MB, does not
+    # grow with the CPUs
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     G = _planted(9, PLANTED["row N-1"])
     assert not check_gyr_automorphisms(G).passed
@@ -756,7 +757,6 @@ def test_scan_peak_memory_without_classes_at_order_512(monkeypatch, cpus):
 def test_class_scan_peak_memory_at_order_512(monkeypatch):
     # the classes, their gate and the class scan, each table's facts computed
     # under the trace
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     masks = _class_spy(monkeypatch)
     G = build_cyclic_gyrogroup(9)
     gyr = np.array(G.gyr_table)
@@ -775,7 +775,7 @@ def test_class_scan_peak_memory_at_order_512(monkeypatch):
 
 
 @pytest.mark.parametrize("classes", [False, True], ids=["all pairs", "classes"])
-def test_witness_in_row_0_is_found_in_the_first_rows(classes, scan_threads, monkeypatch):
+def test_witness_in_row_0_is_found_in_the_first_rows(classes, no_thread, monkeypatch):
     # row 0 goes first, so a witness in row 0 and a late column ends the
     # scan after it
     G = build_cyclic_gyrogroup(9)
