@@ -124,13 +124,16 @@ def oplus(p: CyclicParams, i, j):
     * i, j in the same half        ->  t            (lower half)
     * i, j in different halves     ->  t + m        (upper half)
 
-    i and j are ints or broadcastable integer arrays; ints give an int.
+    i and j are ints or broadcastable integer arrays; ints give an int, and
+    arrays an array of their integer type.
     """
     _check_element(p, i)
     _check_element(p, j)
-    i_high, j_high = i >= p.m, j >= p.m
-    shifted = i_high & (i % 2 == 0) & (j % 2 == 1)
-    return (i + j + p.half * shifted) % p.m + p.m * (i_high != j_high)
+    # the case terms are integers 0 or 1, not bools, which would widen an
+    # array to int64 when multiplied by an int
+    i_high, j_high = i // p.m, j // p.m
+    shift = p.half * i_high * (1 - i % 2)
+    return (i + j + shift * (j % 2)) % p.m + ((p.m * i_high) ^ (p.m * j_high))
 
 
 def half_shift(p: CyclicParams, i):
@@ -188,7 +191,7 @@ def build_cyclic_gyrogroup(n: int, *, max_n: int = DEFAULT_MAX_N) -> FiniteGyrog
     p = CyclicParams(n)
     cayley = np.empty((p.order, p.order), dtype=np.int32)
     gyr = np.empty((p.order, p.order), dtype=np.uint16)
-    j = np.arange(p.order)
+    j = np.arange(p.order, dtype=np.int32)
     for rows in _row_blocks(p.order, p.order):
         i = j[rows, None]
         cayley[rows] = oplus(p, i, j)

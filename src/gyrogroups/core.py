@@ -71,12 +71,13 @@ _GYRATION_LIMIT = 1 << 16
 # process, but at most N // _MIN_ROWS_PER_WORKER.
 _MIN_ROWS_PER_WORKER = 120
 # The triples a sampled scan holds drawn at once, split among its workers.
-_SAMPLE_CHUNK = 1 << 18
+_SAMPLE_CHUNK = 1 << 17
 # The cells (a ⊕ (b ⊕ c) for one pair and one c) an exhaustive triple scan
 # holds at once: it takes the rows in blocks of _BLOCK_CELLS // N, one b at a
 # time.  Every other pass over a whole table that would need a temporary as
 # large as the table takes its rows in blocks of this many cells
-# (`_row_blocks`).
+# (`_row_blocks`), and a pair check in blocks of a quarter of it
+# (`_pair_blocks`).
 _BLOCK_CELLS = 1 << 19
 
 
@@ -152,6 +153,23 @@ def _row_blocks(rows: int, width: int) -> list[slice]:
     _BLOCK_CELLS cells each (at least one row)."""
     height = max(1, _BLOCK_CELLS // width)
     return [slice(lo, min(lo + height, rows)) for lo in range(0, rows, height)]
+
+
+def _pair_blocks(rows: int) -> list[slice]:
+    """The rows of an N×N table as the pair checks take them: a quarter of
+    _BLOCK_CELLS cells at a time, so that a block's temporaries stay in
+    cache."""
+    return _row_blocks(rows, 4 * rows)
+
+
+def _tiled_copy(view: np.ndarray) -> np.ndarray:
+    """A 2-D view copied 128 columns at a time.  Of a transposed view, such a
+    tile reads 128 rows of the base; read whole, each row of the view would
+    touch a page of the base per cell."""
+    out = np.empty(view.shape, view.dtype)
+    for j in range(0, view.shape[1], 128):
+        out[:, j : j + 128] = view[:, j : j + 128]
+    return out
 
 
 def _integral(array: np.ndarray, name: str) -> np.ndarray:
@@ -421,6 +439,23 @@ class VerificationReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
+class _FlatTable:
+    """``table[x, y]`` as one gather at x * width + y from the raveled table, which
+    is cheaper than 2-D fancy indexing; the index type holds the table's size."""
+
+    def __init__(self, table: np.ndarray) -> None:
+        self.flat = table.ravel()
+        self.width = table.shape[1]
+        self.index_type = np.min_scalar_type(-table.size)
+
+    def cell(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The flat positions x * width + y."""
+        return np.multiply(x, self.width, dtype=self.index_type) + y
+
+    def __getitem__(self, xy: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        return np.take(self.flat, self.cell(*xy))
+
+
 def _first_false(ok: np.ndarray) -> tuple[int, ...] | None:
     if ok.all():
         return None
@@ -431,8 +466,10 @@ def _translations(name: str, rows: np.ndarray) -> CheckResult:
     """Every row of ``rows`` is a permutation; witness (i, j1, j2): the first
     bad row i, the first j2 whose value stood earlier in the row, first at j1."""
     ok = np.empty(len(rows), dtype=bool)
-    for block in _row_blocks(len(rows), len(rows)):
-        ok[block] = (np.sort(rows[block], axis=1) == np.arange(len(rows))).all(axis=1)
+    for block in _pair_blocks(len(rows)):
+        sorted_rows = _tiled_copy(rows[block])
+        sorted_rows.sort(axis=1)
+        ok[block] = (sorted_rows == np.arange(len(rows))).all(axis=1)
     if ok.all():
         return CheckResult(name, True)
     i = int(np.argmin(ok))
@@ -485,11 +522,15 @@ def _per_group(compute: Callable[[FiniteGyrogroup], object]):
 @_per_group
 def check_gyr_automorphisms(G: FiniteGyrogroup) -> CheckResult:
     """Every referenced gyration respects ⊕; witness (k, x, y) for perms[k]."""
-    C = G.cayley
+    C = _FlatTable(G.cayley)
     for k in _distinct(G.gyr_table):
         p = G.perm_matrix[k]
-        for rows in _row_blocks(G.order, G.order):
-            bad = _first_false(p[C[rows]] == C[p[rows, None], p[None, :]])
+        if (p == np.arange(G.order)).all():  # the identity respects any ⊕
+            continue
+        for rows in _pair_blocks(G.order):
+            # p(x ⊕ y) = p(x) ⊕ p(y), the right side one flat gather, whose
+            # index fancy indexing casts in pieces
+            bad = _first_false(np.take(p, G.cayley[rows]) == C.flat[C.cell(p[rows, None], p)])
             if bad is not None:
                 return CheckResult(
                     "gyrations_are_automorphisms", False, (int(k), rows.start + bad[0], bad[1])
@@ -512,11 +553,11 @@ def _gyrator_holds(C, inv, ab, a_bc, gyr_c) -> np.ndarray:
 @_per_group
 def _left_cancellation_holds(G: FiniteGyrogroup) -> bool:
     """⊖x ⊕ (x ⊕ y) = y for all x, y; false when some element has no left inverse."""
-    C = G.cayley
+    C = _FlatTable(G.cayley)
     inv = G.left_inverse_map()
     return bool((inv >= 0).all() and all(
-        (C[inv[rows, None], C[rows]] == np.arange(G.order)).all()
-        for rows in _row_blocks(G.order, G.order)
+        (C[inv[rows, None], G.cayley[rows]] == np.arange(G.order)).all()
+        for rows in _pair_blocks(G.order)
     ))
 
 
@@ -738,12 +779,13 @@ def check_left_gyroassociativity(G: FiniteGyrogroup) -> CheckResult:
 
 def check_loop_property(G: FiniteGyrogroup) -> CheckResult:
     """gyr[a, b] = gyr[a ⊕ b, b] as deduplicated indices; witness (a, b)."""
-    Gy = G.gyr_table
-    cols = np.broadcast_to(np.arange(G.order), (G.order, G.order))
-    bad = _first_false(Gy == Gy[G.cayley, cols])
-    if bad is None:
-        return CheckResult("loop_property", True)
-    return CheckResult("loop_property", False, bad)
+    Gy = _FlatTable(G.gyr_table)
+    columns = np.arange(G.order, dtype=np.int32)
+    for rows in _pair_blocks(G.order):
+        bad = _first_false(G.gyr_table[rows] == Gy[G.cayley[rows], columns])
+        if bad is not None:
+            return CheckResult("loop_property", False, (rows.start + bad[0], bad[1]))
+    return CheckResult("loop_property", True)
 
 
 def check_gyrator_identity(G: FiniteGyrogroup) -> CheckResult:
@@ -779,28 +821,41 @@ def _gyrator_identity(G: FiniteGyrogroup, assoc: CheckResult | None) -> CheckRes
 def check_gyrocommutative(G: FiniteGyrogroup) -> CheckResult:
     """a ⊕ b = gyr[a,b](b ⊕ a) for all pairs; witness (a, b)."""
     C = G.cayley
-    for rows in _row_blocks(G.order, G.order):
-        bad = _first_false(C[rows] == G.perm_matrix[G.gyr_table[rows], C.T[rows]])
+    P = _FlatTable(G.perm_matrix)
+    for rows in _pair_blocks(G.order):
+        bad = _first_false(C[rows] == P[G.gyr_table[rows], _tiled_copy(C.T[rows])])
         if bad is not None:
             return CheckResult("gyrocommutativity", False, (rows.start + bad[0], bad[1]))
     return CheckResult("gyrocommutativity", True)
 
 
-class _FlatTable:
-    """``table[x, y]`` as one gather at x * width + y from the raveled table, which
-    is cheaper than 2-D fancy indexing; the index type holds the table's size."""
+def _sample_draws(
+    N: int, seed: int, start: int, count: int, rng: np.random.Generator | None = None
+) -> np.ndarray:
+    """Triples start..start+count-1 of the sample
+    ``default_rng(seed).integers(0, N, size=(sample_size, 3))``, as a count×3 array in
+    the narrowest signed type that holds -N.
 
-    def __init__(self, table: np.ndarray) -> None:
-        self.flat = table.ravel()
-        self.width = table.shape[1]
-        self.index_type = np.min_scalar_type(-table.size)
-
-    def cell(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """The flat positions x * width + y."""
-        return np.multiply(x, self.width, dtype=self.index_type) + y
-
-    def __getitem__(self, xy: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        return np.take(self.flat, self.cell(*xy))
+    ``rng`` is that generator standing at triple ``start``, and draws them;
+    only it reproduces numpy's rejections.  Without it N must be 2**n, n >= 1.
+    numpy's bounded rule (Lemire) then never rejects, so each draw is the top
+    n bits of one 32-bit word of the PCG64 stream, which splits each 64-bit
+    output low half first: the triples are read from a fresh ``PCG64(seed)``
+    advanced to their first word, and share no state with other chunks.
+    """
+    dtype = np.min_scalar_type(-N)
+    if rng is not None:
+        # int32 draws are the int64 ones, in half the memory
+        return rng.integers(0, N, size=(count, 3), dtype=np.int32).astype(dtype)
+    n = N.bit_length() - 1
+    word = 3 * start
+    bits = np.random.PCG64(seed)
+    bits.advance(word // 2)
+    raw = bits.random_raw(-(-(word % 2 + 3 * count) // 2))
+    words = np.empty((len(raw), 2), dtype)
+    np.right_shift(raw, 64 - n, out=words[:, 1], casting="unsafe")
+    np.bitwise_and(np.right_shift(raw, 32 - n, out=raw), N - 1, out=words[:, 0], casting="unsafe")
+    return words.ravel()[word % 2 : word % 2 + 3 * count].reshape(count, 3)
 
 
 def _sampled_triples(
@@ -808,13 +863,16 @@ def _sampled_triples(
 ) -> tuple[CheckResult, CheckResult]:
     """Seeded-sample versions of the two triple checks for large orders.
 
-    The sample is drawn from ``default_rng(seed)`` in chunks of
-    _SAMPLE_CHUNK // workers triples (`_scan_workers`), so the triples held
-    at once stay near _SAMPLE_CHUNK.  Each worker draws the next chunk under
-    a lock and evaluates it outside, where numpy's gathers release the GIL.
-    A law's witness is the first failing draw of its earliest failing chunk,
-    the first failing draw of the sample however the threads are scheduled.
-    No chunk is drawn once every law has failed in an earlier one.
+    The sample is ``default_rng(seed).integers(0, N, size=(sample_size, 3))``,
+    taken in chunks of _SAMPLE_CHUNK // workers triples (`_scan_workers`), so
+    the triples held at once stay near _SAMPLE_CHUNK.  Each worker takes the
+    next chunk under a lock and draws and evaluates it outside, where numpy
+    releases the GIL: for N = 2**n (n >= 1) a chunk is drawn on its own (see
+    `_sample_draws`); other orders draw under the lock, in turn, from one
+    generator.  A law's witness is the first failing draw of its earliest
+    failing chunk, the first failing draw of the sample however the threads
+    are scheduled.  No chunk is drawn once every law has failed in an
+    earlier one.
     """
     import threading
 
@@ -835,7 +893,8 @@ def _sampled_triples(
     workers = _scan_workers(N)
     chunk = _SAMPLE_CHUNK // workers
     chunks = -(-sample_size // chunk)
-    rng = np.random.default_rng(seed)
+    # an order 2**n draws each chunk on its own (see `_sample_draws`)
+    rng = None if N > 1 and N & (N - 1) == 0 else np.random.default_rng(seed)
     lock = threading.Lock()
     drawn = 0
 
@@ -858,10 +917,11 @@ def _sampled_triples(
             if i >= chunks or not any(needed(f, i) for f in first):
                 return False
             drawn += 1
-            # int32 draws are the int64 ones, in half the memory
-            abc = rng.integers(0, N, size=(min(chunk, sample_size - i * chunk), 3),
-                               dtype=np.int32)
-        abc = abc.astype(np.min_scalar_type(-N))
+            draw = (N, seed, i * chunk, min(chunk, sample_size - i * chunk))
+            if rng is not None:
+                abc = _sample_draws(*draw, rng)
+        if rng is None:
+            abc = _sample_draws(*draw)
         ab, a_bc, gyr_c = terms(abc)
         for law, holds in enumerate(laws):
             if not needed(first[law], i):

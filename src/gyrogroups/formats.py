@@ -232,6 +232,30 @@ class _Lines:
         return line if isinstance(line, str) else line.decode("utf-8")
 
 
+def _one_byte_fields(lines: _Lines, lo: int, n: int) -> np.ndarray | None:
+    """Lines lo..lo+n-1 as an n×n array of little-endian byte pairs, a field
+    and the byte after it, when each of those lines is n one-byte ASCII
+    fields, none a comma, each followed by a comma and the last by a newline;
+    otherwise None.  The array views a bytes document."""
+    if lo + n > len(lines):
+        return None
+    document, start, end = lines.document, lines.starts[lo], lines.starts[lo + n]
+    # a last line without its newline ends past the document
+    if end - start != 2 * n * n or end > len(document):
+        return None
+    if isinstance(document, str):
+        document, start = document[start:end], 0
+        if not document.isascii():
+            return None
+        document = document.encode("ascii")
+    pairs = np.frombuffer(document, "<u2", n * n, start).reshape(n, n)
+    ends = np.full(n, ord(","), np.uint16)
+    ends[-1] = ord("\n")
+    if not ((pairs >> 8) == ends).all() or ((pairs & 0xFF) == ord(",")).any():
+        return None
+    return pairs
+
+
 def _read_tables(document: str | bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The Cayley table, the gyration table as indices into the legend, and
     the legend's image rows of a CSV document, each in a narrow integer type.
@@ -272,7 +296,8 @@ def _read_tables(document: str | bytes) -> tuple[np.ndarray, np.ndarray, np.ndar
     gyr_marker = 2 + n
     if line_at(gyr_marker).strip() != "gyration":
         raise TableFormatError(f"line {gyr_marker + 1}: expected 'gyration' section marker")
-    for a in range(n):
+    pairs = _one_byte_fields(lines, gyr_marker + 1, n)
+    for a in range(n if pairs is None else 0):
         line_no = gyr_marker + 1 + a
         # stripping removes no commas, so this counts the stripped fields
         count = line_at(line_no).count(",") + 1
@@ -305,9 +330,16 @@ def _read_tables(document: str | bytes) -> tuple[np.ndarray, np.ndarray, np.ndar
     # legend symbols are stripped, so a field found as it stands needs no
     # strip; only rows with a field not found (index K) are split again
     K = len(entries)
-    syms = itertools.chain.from_iterable(lines[gyr_marker + 1 + a].split(",") for a in range(n))
-    gyr = np.fromiter(map(legend.get, syms, itertools.repeat(K)), np.min_scalar_type(K), n * n)
-    gyr = gyr.reshape(n, n)
+    if pairs is not None and all(len(sym) == 1 and sym.isascii() for sym in legend):
+        # each field byte looked up in a table of the 256 byte values; fancy
+        # indexing casts the index in pieces, where np.take would cast it whole
+        index = np.full(256, K, np.min_scalar_type(K))
+        index[[ord(sym) for sym in legend]] = range(K)
+        gyr = index[pairs & 0xFF]
+    else:
+        syms = itertools.chain.from_iterable(lines[gyr_marker + 1 + a].split(",") for a in range(n))
+        gyr = np.fromiter(map(legend.get, syms, itertools.repeat(K)), np.min_scalar_type(K), n * n)
+        gyr = gyr.reshape(n, n)
     for a in np.flatnonzero(gyr.max(axis=1) == K).tolist():
         for b, field in enumerate(lines[gyr_marker + 1 + a].strip().split(",")):
             sym = field.strip()

@@ -221,6 +221,7 @@ def test_not_associative():
 
 
 def test_build_peak_memory_at_order_1024():
-    # the tables are filled a block of rows at a time, and the constructor
-    # copies them as they are (15.1 MiB); whole int64 tables took 26 MiB
-    assert traced_peak_mib(build_cyclic_gyrogroup, 10) <= 18.0
+    # the tables are filled a block of int32 rows at a time, and the
+    # constructor copies them as they are (12.0 MiB); int64 blocks took
+    # 15.1 MiB and whole int64 tables 26 MiB
+    assert traced_peak_mib(build_cyclic_gyrogroup, 10) <= 12.5

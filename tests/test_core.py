@@ -33,6 +33,12 @@ from gyrogroups import (
 )
 
 from formats_reference import ref_left_translations, ref_right_translations
+from pair_reference import (
+    ref_gyr_automorphisms,
+    ref_gyrocommutative,
+    ref_left_cancellation,
+    ref_loop_property,
+)
 from triple_reference import (
     ref_class_minima,
     ref_gyrator_witness,
@@ -125,10 +131,12 @@ def test_translation_witnesses_match_reference(g3):
     (check_left_translations, (700, 3, 4)),
     (check_right_translations, (3, 700, 701)),
     (check_gyrocommutative, (3, 700)),
-], ids=["left translations", "right translations", "gyrocommutativity"])
+    (check_gyr_automorphisms, (1, 700, 3)),
+], ids=["left translations", "right translations", "gyrocommutativity", "automorphisms"])
 def test_pair_check_peak_memory_at_order_1024(check, witness):
     # the checks take the table in row blocks; a whole N×N sorted copy or
-    # gathered right-hand side alone would be 4 MB
+    # gathered right-hand side alone would be 4 MB, and two block gathers of
+    # the automorphism check at 2^19 cells made 4.7 MB
     G = build_cyclic_gyrogroup(10)
     cayley = G.cayley.copy()
     cayley[700, 3] = cayley[700, 4]
@@ -142,6 +150,47 @@ def test_pair_check_peak_memory_at_order_1024(check, witness):
             tracemalloc.stop()
         assert result.witness == expected
         assert peak <= 3.5e6
+
+
+def _pair_check_cases():
+    """The constructions of order 8 and 16 and the dihedral group of order 10,
+    and 40 copies of each with one Cayley entry changed or one gyration made
+    a random permutation."""
+    rng = np.random.default_rng(17)
+    cases = []
+    for G in (build_cyclic_gyrogroup(3), build_cyclic_gyrogroup(4),
+              FiniteGyrogroup.from_group(dihedral_group(5))):
+        N = G.order
+        cases.append((G.cayley, G.gyr_table, G.perm_matrix))
+        for _ in range(40):
+            cayley, gyr, perms = G.cayley.copy(), G.gyr_table.astype(np.int64), list(G.perm_matrix)
+            a, b = rng.integers(0, N, size=2)
+            if rng.random() < 0.5:
+                cayley[a, b] = rng.integers(0, N)
+            else:
+                perms.append(rng.permutation(N))
+                gyr[a, b] = len(perms) - 1
+            cases.append((cayley, gyr, perms))
+    return cases
+
+
+PAIR_CASES = _pair_check_cases()
+
+
+@pytest.mark.parametrize("height", [1, 3, None], ids=["1-row blocks", "3-row blocks", "one block"])
+def test_pair_checks_match_reference(height, monkeypatch):
+    # the blocks of the pair checks hold a quarter of _BLOCK_CELLS cells
+    for tables in PAIR_CASES:
+        if height is not None:
+            monkeypatch.setattr(core, "_BLOCK_CELLS", 4 * height * len(tables[0]))
+        G = FiniteGyrogroup(*tables)  # fresh, as some checks are kept on G
+        assert check_left_translations(G) == ref_left_translations(G)
+        assert check_right_translations(G) == ref_right_translations(G)
+        assert check_gyr_automorphisms(G) == ref_gyr_automorphisms(G)
+        assert check_loop_property(G) == ref_loop_property(G)
+        assert check_gyrocommutative(G) == ref_gyrocommutative(G)
+        assert core._left_cancellation_holds(G) == ref_left_cancellation(G)
+    assert sum(not ref_gyr_automorphisms(FiniteGyrogroup(*t)).passed for t in PAIR_CASES) > 10
 
 
 def test_constructor_rejects_gyration_index_overflow():
@@ -865,19 +914,18 @@ def test_verify_sampled_above_limit():
 
 @pytest.fixture
 def sample_chunks(monkeypatch):
-    """The size of each chunk the sampled scan draws, in drawing order."""
+    """The shape of each chunk the sampled scan draws, in drawing order.
+    Every chunk, drawn from the raw stream or from one generator, comes from
+    `core._sample_draws`."""
     chunks = []
-    default_rng = np.random.default_rng
+    sample_draws = core._sample_draws
 
-    class CountingRng:
-        def __init__(self, seed):
-            self._rng = default_rng(seed)
+    def counting_draws(*args, **kwargs):
+        abc = sample_draws(*args, **kwargs)
+        chunks.append(abc.shape)
+        return abc
 
-        def integers(self, *args, **kwargs):
-            chunks.append(kwargs.get("size"))
-            return self._rng.integers(*args, **kwargs)
-
-    monkeypatch.setattr(np.random, "default_rng", CountingRng)
+    monkeypatch.setattr(core, "_sample_draws", counting_draws)
     return chunks
 
 
@@ -899,7 +947,7 @@ def test_sampled_scan_stops_once_no_witness_can_follow(sample_chunks):
 # -------------------------------------------------- sampled scan on workers
 
 
-SAMPLE = 1 << 20  # four chunks on one CPU, 8 on two, 32 on eight
+SAMPLE = 1 << 20  # 8 chunks on one CPU, 16 on two, 25 on three, 49 on six, 64 on eight
 
 
 def _broken_cayley(x, y):
@@ -911,16 +959,16 @@ def _broken_cayley(x, y):
     return FiniteGyrogroup(cayley, G.gyr_table, G.perm_matrix)
 
 
-# each case with the chunk of one CPU, 2^18 draws, that holds the first
+# each case with the chunk of one CPU, 2^17 draws, that holds the first
 # failing draw of left gyroassociativity and of the gyrator identity; a
-# 2^18-chunk holds whole chunks of 2 and 8 CPUs
+# 2^17-chunk holds whole chunks of 2 and 8 CPUs
 SAMPLED = {
     "first failure in chunk 0": (lambda: FiniteGyrogroup(build_cyclic_gyrogroup(10).cayley),
                                  (0, 0)),
     # draw 1,000,000 is (517, 436, 15)
-    "first failure in the last chunk": (lambda: _planted(10, [(517, 436, 15)]), (3, 3)),
-    "gyrator fails a chunk before gyroassociativity": (lambda: _broken_cayley(7, 100), (1, 0)),
-    "no left cancellation": (lambda: _broken_cayley(3, 5), (0, 1)),
+    "first failure in the last chunk": (lambda: _planted(10, [(517, 436, 15)]), (7, 7)),
+    "gyrator fails a chunk before gyroassociativity": (lambda: _broken_cayley(7, 100), (2, 0)),
+    "no left cancellation": (lambda: _broken_cayley(3, 5), (0, 2)),
     "passing": (lambda: build_cyclic_gyrogroup(10), (None, None)),
 }
 
@@ -930,12 +978,15 @@ def _sampled_case(case):
     make, chunks = SAMPLED[case]
     G = make()
     reference = ref_sampled_witnesses(G, core.SAMPLE_SEED, SAMPLE)
-    assert [None if r is None else r[0] >> 18 for r in reference] == list(chunks)
+    assert [None if r is None else r[0] >> 17 for r in reference] == list(chunks)
     return G, reference
 
 
-@pytest.mark.parametrize("scan_threads", [1, 2, 8], indirect=True,
-                         ids=["1 cpu", "2 cpus", "8 cpus"])
+# three and six CPUs make chunks of 43,690 and 21,845 triples, so on six
+# every other chunk starts on an odd 32-bit word of the raw stream, and on
+# both the last chunk is short
+@pytest.mark.parametrize("scan_threads", [1, 2, 3, 6, 8], indirect=True,
+                         ids=["1 cpu", "2 cpus", "3 cpus", "6 cpus", "8 cpus"])
 @pytest.mark.parametrize("case", list(SAMPLED))
 def test_sampled_witnesses_match_reference(case, scan_threads):
     G, reference = _sampled_case(case)
@@ -946,6 +997,53 @@ def test_sampled_witnesses_match_reference(case, scan_threads):
         assert result.witness == (None if expected is None else expected[1])
         assert result.passed == (expected is None)
     assert len(scan_threads) == len(os.sched_getaffinity(0)) - 1
+
+
+def _cyclic_with_swaps(N, cells):
+    """Z_N with the gyration at each (a, b) of ``cells`` the swap of 1 and 2."""
+    swap = np.arange(N)
+    swap[[1, 2]] = [2, 1]
+    gyr = np.zeros((N, N), dtype=int)
+    for a, b in cells:
+        gyr[a, b] = 1
+    return FiniteGyrogroup(cyclic_group(N), gyr, (np.arange(N), swap))
+
+
+# orders that are no power of two, where numpy's bounded draws can reject and
+# the sample comes from one generator: one worker at order 48, up to three at
+# 384; each case with the first failing draw of both laws, past the first chunk
+UNEVEN = {
+    48: (lambda: _cyclic_with_swaps(48, [(47, 47)]), 221_036),
+    384: (lambda: _cyclic_with_swaps(384, [(200, b) for b in range(384)]), 109_653),
+}
+
+
+@pytest.mark.parametrize("scan_threads", [1, 2, 8], indirect=True,
+                         ids=["1 cpu", "2 cpus", "8 cpus"])
+@pytest.mark.parametrize("order", list(UNEVEN))
+def test_sampled_witnesses_match_reference_at_other_orders(order, scan_threads):
+    make, draw = UNEVEN[order]
+    G = make()
+    reference = ref_sampled_witnesses(G, core.SAMPLE_SEED, SAMPLE)
+    assert [r[0] for r in reference] == [draw, draw]
+    report = verify(G, exhaustive_limit=16, sample_size=SAMPLE)
+    assert report.sampled
+    for name, expected in zip(("left_gyroassociativity", "gyrator_identity"), reference):
+        assert report.check(name).witness == expected[1]
+    assert len(scan_threads) == core._scan_workers(order) - 1
+
+
+@pytest.mark.parametrize("n", [1, 5, 10, 15])
+def test_raw_stream_draws_are_the_generators_draws(n):
+    # numpy's bounded rule never rejects on 0..2^n-1, so triples read from the
+    # raw PCG64 stream are the generator's; this fails if that rule changes
+    N = 1 << n
+    sample = np.random.default_rng(1729).integers(0, N, size=(5000, 3))
+    for start, count in [(0, 5000), (0, 1), (1, 7), (2, 100), (333, 1000), (4999, 1),
+                         (1234, 3766)]:
+        abc = core._sample_draws(N, 1729, start, count)
+        assert abc.dtype == np.min_scalar_type(-N)
+        assert (abc == sample[start:start + count]).all()
 
 
 @pytest.mark.parametrize("scan_threads", [2, 8], indirect=True, ids=["2 cpus", "8 cpus"])
@@ -980,8 +1078,9 @@ def test_sampled_scan_error_in_a_worker_reaches_the_caller(scan_threads, monkeyp
 @pytest.mark.parametrize("scan_threads", [2, 4, 8], indirect=True,
                          ids=["2 cpus", "4 cpus", "8 cpus"])
 def test_sampled_scan_peak_memory_at_order_1024(scan_threads):
-    # the triples in flight stay one 2^18-chunk whatever the worker count; a
-    # 2^18-chunk per worker would not
+    # the triples in flight stay one _SAMPLE_CHUNK whatever the worker count,
+    # each worker's drawn from the raw stream on its own; a _SAMPLE_CHUNK per
+    # worker would not
     G = build_cyclic_gyrogroup(10)
     tracemalloc.start()
     try:

@@ -96,6 +96,40 @@ def test_load_reports_wrong_field_count(g3):
         load_tables("\n".join(lines))
 
 
+@pytest.mark.parametrize("row, message", [
+    ("I,I,I,I, A,A,A,A", None),
+    ("I,I,I,I,A,A,A", "line 13: expected 8 fields, got 7"),
+    ("I,I,I,I,,,A,A,A", "line 13: expected 8 fields, got 9"),
+    ("I,I,I,I,A, ,A,A", "line 13, field 6: symbol '' is not defined in the legend"),
+], ids=["padded field", "a field short", "a comma for a field", "a space for a field"])
+@pytest.mark.parametrize("kind", [str, bytes])
+def test_load_reads_gyration_rows_of_other_shapes(g3, row, message, kind):
+    # rows that are not one-byte fields joined by commas load, or fail, as
+    # the per-line rules have them
+    doc = emit_tables(g3, "csv").replace("I,I,I,I,A,A,A,A", row, 1)
+    doc = doc if kind is str else doc.encode()
+    expected = load_outcome(load_tables, emit_tables(g3, "csv"), True)
+    if message is not None:
+        expected = (TableFormatError, message)
+    assert load_outcome(load_tables, doc, True) == expected
+    assert load_outcome(ref_load_tables, doc, True) == expected
+
+
+@pytest.mark.parametrize("kind", [str, bytes])
+def test_load_reports_a_gyration_block_that_ends_the_document(kind):
+    # the last row's newline is missing, so the block is a byte short
+    doc = "order,2\ncayley\n0,1\n1,0\ngyration\nI,I\nI,I"
+    doc = doc if kind is str else doc.encode()
+    message = "line 6, field 1: symbol 'I' is not defined in the legend"
+    assert load_outcome(load_tables, doc, False) == (TableFormatError, message)
+    assert load_outcome(ref_load_tables, doc, False) == (TableFormatError, message)
+
+
+def test_load_bytes_crlf_normalized(g3):
+    doc = emit_tables(g3, "csv").replace("\n", "\r\n").encode()
+    assert emit_tables(load_tables(doc), "csv") == emit_tables(g3, "csv")
+
+
 def test_load_reports_bad_integer(g3):
     doc = emit_tables(g3, "csv").replace("4,7,6,5", "4,x,6,5")
     with pytest.raises(TableFormatError, match="not an integer"):
