@@ -3,8 +3,9 @@
 Γ is closed by composing every pair of known permutations in both orders
 until nothing new appears, the holomorph table is filled one entry at a
 time from ``Permutation.compose``, and the group invariants come from
-per-element loops.  These serve only to check the array versions in
-``gyrogroups.analyze`` and ``gyrogroups.groups`` on small inputs.
+per-element loops, the derived subgroup from ``ref_close``.  These serve
+only to check the array versions in ``gyrogroups.analyze`` and
+``gyrogroups.groups`` on small inputs.
 """
 
 from collections import Counter
@@ -12,7 +13,8 @@ from collections import Counter
 import numpy as np
 
 from gyrogroups import FiniteGyrogroup, GroupInvariants, Permutation
-from gyrogroups.core import _close
+
+from lattice_reference import ref_close
 
 
 def ref_gyroautomorphism_group(G):
@@ -104,7 +106,7 @@ def ref_group_invariants(T):
         abelian=bool(np.array_equal(T, T.T)),
         order_multiset=tuple(sorted(Counter(ref_element_orders(T)).items())),
         center_size=sum(1 for e in range(n) if np.array_equal(T[e], T[:, e])),
-        derived_size=len(_close(FiniteGyrogroup.from_group(T), frozenset(commutators))),
+        derived_size=len(ref_close(FiniteGyrogroup.from_group(T), commutators)),
     )
 
 

@@ -1,43 +1,99 @@
 """Exhaustive reference for the subgyrogroup lattice.
 
-The closed sets are found by a fixpoint over every one-element extension, the
-canonical generators by trying every combination of members in (size,
-lexicographic) order, and the covers by testing every pair of closed sets
-against every third one.  These searches are exponential or cubic, and serve
-only to check the single pass in ``gyrogroups.analyze`` on small inputs.
-``ref_restrict`` is the pair-by-pair restriction that ``restrict`` replaced.
+A subgyrogroup is a set holding 0 that is closed under ⊕, ⊖ and its internal
+gyrations; ``ref_close`` closes a set under all three, one element at a time,
+through the public ``oplus``, ``inverse_of`` and ``gyration``.  The closed
+sets are found by a fixpoint over every one-element extension, the canonical
+generators by trying every combination of members in (size, lexicographic)
+order, and the covers by testing every pair of closed sets against every
+third one.  These searches are exponential or cubic, and serve only to check
+the single pass in ``gyrogroups.analyze`` on small inputs.  ``ref_restrict``
+is the pair-by-pair restriction that ``restrict`` replaced.
 """
 
+import functools
 import itertools
 
 import numpy as np
 
-from gyrogroups.core import FiniteGyrogroup, Permutation, _close
+from gyrogroups import FiniteGyrogroup, Permutation, inverse_of
+
+
+def ref_operations(G):
+    """⊕, ⊖ and the gyration of a pair in G, each entry read through G once and kept."""
+    return (
+        functools.cache(G.oplus),
+        functools.cache(functools.partial(inverse_of, G)),
+        functools.cache(G.gyration),
+    )
+
+
+def ref_close(G, seed, ops=None):
+    """The smallest superset of seed ∪ {0} closed under ⊕, ⊖ and the gyrations.
+
+    Each member, once taken, is added to every member taken before it and to
+    itself on both sides, and its left inverse and its images under the
+    gyrations met so far join; each gyration met for the first time is
+    applied to every member.  A caller that closes many sets in G passes
+    ``ops = ref_operations(G)`` to read each entry once.
+    """
+    oplus, inverse, gyration = ops or ref_operations(G)
+    members = {0, *seed}
+    todo, done, gyrations = sorted(members), [], []
+
+    def meet(values):
+        for v in values:
+            if v not in members:
+                members.add(v)
+                todo.append(v)
+
+    # a set holding every element is closed: nothing is left to add
+    while todo and len(members) < G.order:
+        x = todo.pop()
+        done.append(x)
+        meet([inverse(x), *(g(x) for g in gyrations)])
+        for y in done:
+            meet((oplus(x, y), oplus(y, x)))
+            for g in (gyration(x, y), gyration(y, x)):
+                if g not in gyrations:
+                    gyrations.append(g)
+                    meet([g(z) for z in members])
+    return frozenset(members)
 
 
 def ref_closed_sets(G):
     """Every closed set, in (size, sorted elements) order."""
-    known = {_close(G, frozenset())} | {_close(G, frozenset((x,))) for x in range(G.order)}
+    ops = ref_operations(G)
+    known = {ref_close(G, (), ops)} | {ref_close(G, (x,), ops) for x in range(G.order)}
     work = list(known)
     while work:
         S = work.pop()
         for x in range(G.order):
-            T = _close(G, S | {x})
+            if x in S:
+                continue
+            T = ref_close(G, S | {x}, ops)
             if T not in known:
                 known.add(T)
                 work.append(T)
     return sorted(known, key=lambda s: (len(s), sorted(s)))
 
 
-def ref_canonical_generators(G, members):
-    """Smallest generating tuple of a closed set, by exhaustive search."""
+def ref_canonical_generators(sets, members):
+    """Smallest generating tuple of a closed set, by exhaustive search.
+
+    ``sets`` are all the closed sets.  They are closed under intersection, so
+    the closure of a tuple is the smallest closed set holding it, and the
+    tuple generates ``members`` when no closed set strictly inside
+    ``members`` holds it.
+    """
     members = frozenset(members)
     if members == {0}:
         return (0,)
+    below = [s for s in sets if s < members]
     candidates = sorted(members - {0})
     for size in range(1, len(candidates) + 1):
         for combo in itertools.combinations(candidates, size):
-            if _close(G, frozenset(combo)) == members:
+            if not any(s.issuperset(combo) for s in below):
                 return combo
     raise AssertionError("a closed set is generated by itself")
 

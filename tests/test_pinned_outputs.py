@@ -15,12 +15,14 @@ from gyrogroups import (
     Permutation,
     build_cyclic_gyrogroup,
     cyclic_group,
+    emit_lattice_text,
     emit_tables,
+    enumerate_subgyrogroups,
     verify,
 )
 from gyrogroups.cli import main
 
-from test_analyze import relabel
+from test_analyze import relabel, z2_power
 from test_cli import s8_document
 
 PINNED = {
@@ -34,6 +36,8 @@ PINNED = {
         "a81035637788bc802d150e905a19bd24763c9821465a8a63b26b02b5ebe2967f",
     ("lattice", "--n", "5", "--dot"):
         "3ca548839dbf6ad7fdbc25a5e3561ce36388be8e647573d610a8d02f2edf9d15",
+    ("lattice", "--n", "8"):
+        "c422b79e8cf471c2443f7be7c1911adffac13c27e45eccb67e3781348eaa5e1c",
     ("holomorph", "--n", "3"):
         "3b2ca2d8eff508dffde345a5c51cc47700125c55036ba620b2d33963233e1818",
     ("holomorph", "--n", "4"):
@@ -46,6 +50,8 @@ PINNED = {
         "df990bd9330d25dd5383155ddd47bbd9c635c5b9a6ce60c48ab6af771621e8de",
 }
 VERIFY_REPORT_N5 = "382d9105b7feb132cece39d66d71f5a6199ee46b25b92df9e9cae0b895170830"
+# the 2,825 subspaces of GF(2)^6, where most joins close to more than half the group
+LATTICE_Z2E6 = "0fced25b7344d607402ae2965a9b843ad25a87141616db65b76fd7d954ca9499"
 
 
 def sha256(text):
@@ -71,6 +77,10 @@ def test_verify_report_is_pinned(tmp_path, capsys):
     report = tmp_path / "report.json"
     assert main(["verify", "--n", "5", "--report", str(report)]) == 0
     assert sha256(report.read_text(encoding="utf-8")) == VERIFY_REPORT_N5
+
+
+def test_z2e6_lattice_is_pinned():
+    assert sha256(emit_lattice_text(enumerate_subgyrogroups(z2_power(6)))) == LATTICE_Z2E6
 
 
 def test_sampled_witnesses_are_pinned():
