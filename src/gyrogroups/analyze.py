@@ -1,8 +1,10 @@
 """Subgyrogroup structure, gyroautomorphisms, the gyroholomorph, and isomorphism.
 
 A subgyrogroup is a subset containing 0 that is closed under the operation,
-under left inverses, and under its internal gyrations.  Enumeration works on
-any verified gyrogroup in one pass over the lattice, smallest sets first:
+under left inverses, and under its internal gyrations.  On a verified
+gyrogroup a set closed under ⊕ alone is one (see ``core._close``), so every
+closure here is under ⊕ only.  Enumeration works on any verified gyrogroup
+in one pass over the lattice, smallest sets first:
 each closed set is joined with every cyclic subgyrogroup outside it, and
 those joins yield the whole lattice, its covers, and the canonical generators
 by dynamic programming.  The closed-form classifier is specific to the cyclic
@@ -25,6 +27,7 @@ from .core import (
     Permutation,
     _close,
     _distinct,
+    _referenced_gyrations,
     _row_keys,
     _row_positions,
     check_left_gyroassociativity,
@@ -191,8 +194,12 @@ def _subgyrogroup(
 
 
 def closure(G: FiniteGyrogroup, gens) -> Subgyrogroup:
-    """Close a generator set and package it with canonical generators, which
-    like `enumerate_subgyrogroups` need ``G`` to be a verified gyrogroup."""
+    """Close a generator set under ⊕ and package it with canonical generators.
+
+    On a verified gyrogroup the ⊕-closure is the subgyrogroup the generators
+    generate; the canonical generators, as in `enumerate_subgyrogroups`,
+    need ``G`` to be one too.
+    """
     gens = frozenset(int(g) for g in gens)
     for g in gens:
         if not 0 <= g < G.order:
@@ -206,9 +213,10 @@ def enumerate_subgyrogroups(G: FiniteGyrogroup) -> SubgyrogroupLattice:
 
     The upper covers of each T are the minimal sets among its joins
     close(T ∪ {x}): a cover S of T is close(T ∪ {x}) for every x in S ∖ T.
-    ``G`` must be a verified gyrogroup: joins are pruned by Lagrange's
-    theorem for finite gyrogroups, and on tables that fail the axioms the
-    lattice may be incomplete.
+    ``G`` must be a verified gyrogroup: there each ⊕-closure is a
+    subgyrogroup, and joins are pruned by Lagrange's theorem for finite
+    gyrogroups; on tables that fail the axioms the lattice may be
+    incomplete.
     """
     gens, reached = _join_pass(G, range(G.order))
     index = {S: i for i, S in enumerate(reached)}
@@ -290,7 +298,7 @@ def gyroautomorphism_group(G: FiniteGyrogroup) -> np.ndarray:
     since in a finite group the monoid they generate is the group.  Returned
     as a read-only |Γ|×N image matrix sorted by images, identity first.
     """
-    gens = G.perm_matrix[_distinct(G.gyr_table)]
+    gens = G.perm_matrix[_referenced_gyrations(G)]
     frontier = np.arange(G.order, dtype=gens.dtype)[None, :]
     # Γ so far as sorted raw-bytes keys, which each round's new products are
     # searched in and inserted into without sorting the known rows again
@@ -468,7 +476,7 @@ def is_degenerate_group(G: FiniteGyrogroup) -> bool:
     Checks both signals, all-identity gyrations and associativity of ⊕, and
     raises when they disagree, since that marks corrupted tables.
     """
-    all_identity = bool((G.perm_matrix[_distinct(G.gyr_table)] == np.arange(G.order)).all())
+    all_identity = bool((G.perm_matrix[_referenced_gyrations(G)] == np.arange(G.order)).all())
     associative = check_left_gyroassociativity(FiniteGyrogroup.from_group(G.cayley)).passed
     if all_identity != associative:
         raise GyrogroupDataError(

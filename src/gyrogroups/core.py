@@ -79,6 +79,10 @@ _SAMPLE_CHUNK = 1 << 17
 # (`_row_blocks`), and a pair check in blocks of a quarter of it
 # (`_pair_blocks`).
 _BLOCK_CELLS = 1 << 19
+# A closure round with at most this many sums collects them in a Python set;
+# a larger one marks them in a bool array first, which is faster from about
+# this size on, at orders 64 to 4096.
+_SET_SUMS = 1024
 
 
 class GyrogroupDataError(ValueError):
@@ -375,25 +379,34 @@ def inverse_of(G: FiniteGyrogroup, x: int) -> int:
 
 
 def _close(G: FiniteGyrogroup, seed: frozenset[int]) -> frozenset[int]:
-    """Smallest superset of seed ∪ {0} closed under ⊕, ⊖, and internal gyrations."""
+    """Smallest superset of seed ∪ {0} closed under ⊕, which in a finite
+    gyrogroup is the subgyrogroup that seed generates.
+
+    For a in a finite set S closed under ⊕, the left translation L_a maps S
+    into S and is injective, so onto S: a ⊕ b = 0 for some b in S, and that
+    b is ⊖a.  Then gyr[a,b]c = ⊖(a ⊕ b) ⊕ (a ⊕ (b ⊕ c)) keeps the gyrations
+    in S.  By Lagrange's theorem for finite gyrogroups the order of a
+    subgyrogroup divides N, so a closure with more than N/2 members is all
+    of G.  On tables that fail the axioms the result is closed under ⊕
+    only, and past N/2 members it is all of G.
+    """
     C = G.cayley
-    Gy = G.gyr_table
-    P = G.perm_matrix
-    # a table whose only gyration is the identity, as from_group builds, has
-    # nothing to close under but ⊕ and ⊖
-    gyrates = len(P) > 1 or bool((P[0] != np.arange(G.order)).any())
     inv = G.left_inverse_map()
     members = set(seed) | {0}
     while True:
         S = np.fromiter(members, dtype=np.int64)
-        new = set(C[S[:, None], S].ravel().tolist())
         inv_s = inv[S]
         if (inv_s < 0).any():
             missing = int(S[int(np.argmax(inv_s < 0))])
             raise GyrogroupDataError(f"element {missing} has no left inverse; cannot close")
-        new.update(inv_s.tolist())
-        if gyrates:
-            new.update(P[_distinct(Gy[S[:, None], S])][:, S].ravel().tolist())
+        if 2 * len(members) > G.order:
+            return frozenset(range(G.order))
+        sums = C[S[:, None], S].ravel()
+        if sums.size > _SET_SUMS:
+            seen = np.zeros(G.order, dtype=bool)
+            seen[sums] = True
+            sums = np.flatnonzero(seen)
+        new = set(sums.tolist())
         if new <= members:
             return frozenset(members)
         members |= new
@@ -520,10 +533,18 @@ def _per_group(compute: Callable[[FiniteGyrogroup], object]):
 
 
 @_per_group
+def _referenced_gyrations(G: FiniteGyrogroup) -> np.ndarray:
+    """The indices of the gyrations the gyration table refers to, ascending."""
+    used = _distinct(G.gyr_table)
+    used.setflags(write=False)
+    return used
+
+
+@_per_group
 def check_gyr_automorphisms(G: FiniteGyrogroup) -> CheckResult:
     """Every referenced gyration respects ⊕; witness (k, x, y) for perms[k]."""
     C = _FlatTable(G.cayley)
-    for k in _distinct(G.gyr_table):
+    for k in _referenced_gyrations(G):
         p = G.perm_matrix[k]
         if (p == np.arange(G.order)).all():  # the identity respects any ⊕
             continue
@@ -570,7 +591,7 @@ def _pair_classes(G: FiniteGyrogroup) -> np.ndarray | None:
     N = G.order
     C, Gy, P = G.cayley, G.gyr_table, G.perm_matrix
     inv = G.left_inverse_map().astype(np.int32)
-    used = _distinct(G.gyr_table)
+    used = _referenced_gyrations(G)
     # inverse[k]: the stored inverse of gyration k, or -1 where none is stored
     inverse = np.full(len(P), -1, dtype=np.int32)
     inverse[used] = _row_positions(P, np.argsort(P[used], axis=1))
