@@ -16,16 +16,12 @@ from .analyze import (
 )
 from .construct import (
     CyclicParams,
-    ParityClass,
-    Residues,
     build_cyclic_gyrogroup,
-    classify,
     gyration_selector,
     half_shift,
     half_shift_permutation,
     inverse_element,
     oplus,
-    residues,
 )
 from .core import (
     CHECK_NAMES,

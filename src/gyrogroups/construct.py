@@ -11,7 +11,6 @@ pairs gyrate nontrivially.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -20,16 +19,12 @@ from .core import FiniteGyrogroup, Permutation, _row_blocks
 __all__ = [
     "CyclicParams",
     "DEFAULT_MAX_N",
-    "ParityClass",
-    "Residues",
     "build_cyclic_gyrogroup",
-    "classify",
     "gyration_selector",
     "half_shift",
     "half_shift_permutation",
     "inverse_element",
     "oplus",
-    "residues",
 ]
 
 # Cayley tables grow quadratically (n=12 is 4096x4096, ~16.7M entries); the
@@ -62,23 +57,6 @@ class CyclicParams:
         return self.m // 2
 
 
-class ParityClass(Enum):
-    """One of the four parity-by-half classes partitioning the carrier."""
-
-    EVEN_LOW = "even-low"
-    ODD_LOW = "odd-low"
-    EVEN_HIGH = "even-high"
-    ODD_HIGH = "odd-high"
-
-    @property
-    def is_odd(self) -> bool:
-        return self in (ParityClass.ODD_LOW, ParityClass.ODD_HIGH)
-
-    @property
-    def is_high(self) -> bool:
-        return self in (ParityClass.EVEN_HIGH, ParityClass.ODD_HIGH)
-
-
 def _check_element(p: CyclicParams, i) -> None:
     """Raise ValueError unless i, an int or an integer array, lies in 0..2**n - 1."""
     low, high = (i.min(), i.max()) if isinstance(i, np.ndarray) else (i, i)
@@ -86,38 +64,11 @@ def _check_element(p: CyclicParams, i) -> None:
         raise ValueError(f"element {low if low < 0 else high} out of range 0..{p.order - 1}")
 
 
-def classify(p: CyclicParams, i: int) -> ParityClass:
-    """Parity class of element i: (odd/even) x (lower/upper half)."""
-    _check_element(p, i)
-    if i < p.m:
-        return ParityClass.ODD_LOW if i % 2 else ParityClass.EVEN_LOW
-    return ParityClass.ODD_HIGH if i % 2 else ParityClass.EVEN_HIGH
-
-
-@dataclass(frozen=True)
-class Residues:
-    """The mod-m residues the construction is written in, all in {0..m-1}."""
-
-    t: int  # i + j (mod m)
-    s: int  # i + j + m/2 (mod m)
-    r: int  # i + m/2 (mod m)
-
-
-def residues(p: CyclicParams, i: int, j: int) -> Residues:
-    _check_element(p, i)
-    _check_element(p, j)
-    return Residues(
-        t=(i + j) % p.m,
-        s=(i + j + p.half) % p.m,
-        r=(i + p.half) % p.m,
-    )
-
-
 def oplus(p: CyclicParams, i, j):
     """The four-case binary operation on {0..2**n - 1}.
 
-    Residues are reduced into {0..m-1} first and m is added afterwards, so
-    each case lands in exactly one half:
+    With t = i + j and s = i + j + m/2, both reduced into {0..m-1} before m
+    is added, each case lands in exactly one half:
 
     * even-high i with odd-high j  ->  s            (lower half)
     * even-high i with odd-low j   ->  s + m        (upper half)

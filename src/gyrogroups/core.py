@@ -119,23 +119,6 @@ class Permutation:
         # a list of permutations reads as the matrix of their images
         return np.asarray(self.images, dtype=dtype)
 
-    def compose(self, other: "Permutation") -> "Permutation":
-        """Composition self∘other: apply `other` first, then `self`."""
-        if other.degree != self.degree:
-            raise GyrogroupDataError("cannot compose permutations of different degrees")
-        return Permutation(tuple(self.images[y] for y in other.images))
-
-    def inverse(self) -> "Permutation":
-        return Permutation(tuple(np.argsort(self.images).tolist()))
-
-    def order(self) -> int:
-        power = self
-        k = 1
-        while not power.is_identity:
-            power = power.compose(self)
-            k += 1
-        return k
-
     def cycle_string(self) -> str:
         """Cycle notation with fixed points omitted, e.g. ``(1 3)(5 7)``."""
         seen: set[int] = set()

@@ -2,7 +2,7 @@
 
 Γ is closed by composing every pair of known permutations in both orders
 until nothing new appears, the holomorph table is filled one entry at a
-time from ``Permutation.compose``, and the group invariants come from
+time from the image tuples, and the group invariants come from
 per-element loops, the derived subgroup from ``ref_close``.  These serve
 only to check the array versions in ``gyrogroups.analyze`` and
 ``gyrogroups.groups`` on small inputs.
@@ -12,47 +12,48 @@ from collections import Counter
 
 import numpy as np
 
-from gyrogroups import FiniteGyrogroup, GroupInvariants, Permutation
+from gyrogroups import FiniteGyrogroup, GroupInvariants
 
 from lattice_reference import ref_close
 
 
+def compose(p, q):
+    """The images of p∘q, applying q first, from the image tuples of p and q."""
+    return tuple(p[y] for y in q)
+
+
 def ref_gyroautomorphism_group(G):
-    """Pairwise closure of the distinct gyrations; identity first, then by images."""
-    gens = [G.perms[int(k)] for k in np.unique(G.gyr_table)]
-    elems = {p.images: p for p in gens}
-    frontier = list(elems.values())
+    """Pairwise closure of the distinct gyrations, as image tuples; identity
+    first, then by images."""
+    elems = {G.perms[int(k)].images for k in np.unique(G.gyr_table)}
+    frontier = list(elems)
     while frontier:
         fresh = []
         for p in frontier:
-            for q in list(elems.values()):
-                for r in (p.compose(q), q.compose(p)):
-                    if r.images not in elems:
-                        elems[r.images] = r
+            for q in list(elems):
+                for r in (compose(p, q), compose(q, p)):
+                    if r not in elems:
+                        elems.add(r)
                         fresh.append(r)
         frontier = fresh
-    ident = Permutation.identity(G.order)
-    elems.setdefault(ident.images, ident)
-    rest = sorted(img for img in elems if img != ident.images)
-    return (ident,) + tuple(elems[img] for img in rest)
+    ident = tuple(range(G.order))
+    return (ident,) + tuple(sorted(elems - {ident}))
 
 
 def ref_holomorph_table(G):
     """(x, X)(y, Y) = (x ⊕ X(y), gyr[x, X(y)] ∘ X ∘ Y), entry by entry."""
     gamma = ref_gyroautomorphism_group(G)
     k = len(gamma)
-    index = {p.images: i for i, p in enumerate(gamma)}
+    index = {p: i for i, p in enumerate(gamma)}
     n = G.order * k
     table = np.empty((n, n), dtype=np.int64)
     for x in range(G.order):
         for xi, X in enumerate(gamma):
             for y in range(G.order):
-                xy = X(y)
-                twist = G.gyration(x, xy).compose(X)
+                xy = X[y]
+                twist = compose(G.gyration(x, xy).images, X)
                 for yi, Y in enumerate(gamma):
-                    table[x * k + xi, y * k + yi] = (
-                        G.oplus(x, xy) * k + index[twist.compose(Y).images]
-                    )
+                    table[x * k + xi, y * k + yi] = G.oplus(x, xy) * k + index[compose(twist, Y)]
     return table
 
 

@@ -3,25 +3,25 @@ import pytest
 
 from gyrogroups import (
     CyclicParams,
-    ParityClass,
     build_cyclic_gyrogroup,
-    classify,
     gyration_selector,
     half_shift,
     half_shift_permutation,
     inverse_element,
     inverse_of,
     oplus,
-    residues,
 )
 
 import reference_tables as ref
 from test_formats import traced_peak_mib
 from construct_reference import (
+    ParityClass,
+    classify,
     ref_gyration_selector,
     ref_half_shift,
     ref_inverse_element,
     ref_oplus,
+    residues,
 )
 
 
