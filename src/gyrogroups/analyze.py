@@ -1,10 +1,10 @@
 """Subgyrogroup structure, gyroautomorphisms, the gyroholomorph, and isomorphism.
 
 A subgyrogroup is a subset containing 0 that is closed under the operation,
-under left inverses, and under its internal gyrations.  On a verified
-gyrogroup a set closed under ⊕ alone is one (see ``core._close``), so every
-closure here is under ⊕ only.  Enumeration works on any verified gyrogroup
-in one pass over the lattice, smallest sets first:
+under left inverses, and under its internal gyrations; in a verified
+gyrogroup every set closed under ⊕ holding 0 is one (see ``core._close``).
+Enumeration works on any verified gyrogroup in one pass over the lattice,
+smallest sets first:
 each closed set is joined with every cyclic subgyrogroup outside it, and
 those joins yield the whole lattice, its covers, and the canonical generators
 by dynamic programming.  The closed-form classifier is specific to the cyclic
@@ -194,12 +194,9 @@ def _subgyrogroup(
 
 
 def closure(G: FiniteGyrogroup, gens) -> Subgyrogroup:
-    """Close a generator set under ⊕ and package it with canonical generators.
-
-    On a verified gyrogroup the ⊕-closure is the subgyrogroup the generators
-    generate; the canonical generators, as in `enumerate_subgyrogroups`,
-    need ``G`` to be one too.
-    """
+    """Close a generator set under ⊕, which on a verified gyrogroup gives the
+    subgyrogroup it generates, and package it with canonical generators,
+    which like `enumerate_subgyrogroups` need ``G`` to be one."""
     gens = frozenset(int(g) for g in gens)
     for g in gens:
         if not 0 <= g < G.order:
@@ -214,9 +211,8 @@ def enumerate_subgyrogroups(G: FiniteGyrogroup) -> SubgyrogroupLattice:
     The upper covers of each T are the minimal sets among its joins
     close(T ∪ {x}): a cover S of T is close(T ∪ {x}) for every x in S ∖ T.
     ``G`` must be a verified gyrogroup: there each ⊕-closure is a
-    subgyrogroup, and joins are pruned by Lagrange's theorem for finite
-    gyrogroups; on tables that fail the axioms the lattice may be
-    incomplete.
+    subgyrogroup and joins are pruned by Lagrange's theorem for finite
+    gyrogroups; on tables that fail the axioms the lattice may be wrong.
     """
     gens, reached = _join_pass(G, range(G.order))
     index = {S: i for i, S in enumerate(reached)}

@@ -79,10 +79,6 @@ _SAMPLE_CHUNK = 1 << 17
 # (`_row_blocks`), and a pair check in blocks of a quarter of it
 # (`_pair_blocks`).
 _BLOCK_CELLS = 1 << 19
-# A closure round with at most this many sums collects them in a Python set;
-# a larger one marks them in a bool array first, which is faster from about
-# this size on, at orders 64 to 4096.
-_SET_SUMS = 1024
 
 
 class GyrogroupDataError(ValueError):
@@ -362,30 +358,24 @@ def inverse_of(G: FiniteGyrogroup, x: int) -> int:
 
 
 def _close(G: FiniteGyrogroup, seed: frozenset[int]) -> frozenset[int]:
-    """Smallest superset of seed ∪ {0} closed under ⊕, which in a finite
-    gyrogroup is the subgyrogroup that seed generates.
-
-    For a in a finite set S closed under ⊕, the left translation L_a maps S
-    into S and is injective, so onto S: a ⊕ b = 0 for some b in S, and that
-    b is ⊖a.  Then gyr[a,b]c = ⊖(a ⊕ b) ⊕ (a ⊕ (b ⊕ c)) keeps the gyrations
-    in S.  By Lagrange's theorem for finite gyrogroups the order of a
-    subgyrogroup divides N, so a closure with more than N/2 members is all
-    of G.  On tables that fail the axioms the result is closed under ⊕
-    only, and past N/2 members it is all of G.
-    """
+    """Smallest superset of seed ∪ {0} closed under ⊕: in a finite gyrogroup,
+    the subgyrogroup seed generates.  For a in such a set S, L_a maps S into
+    S injectively, so onto, and a ⊕ b = 0 for some b in S, which is ⊖a; and
+    gyr[a,b]c = ⊖(a ⊕ b) ⊕ (a ⊕ (b ⊕ c)) keeps the gyrations in S.  A
+    subgyrogroup's order divides N (Lagrange), so past N/2 members it is G,
+    which is returned there even on tables that fail the axioms."""
     C = G.cayley
     inv = G.left_inverse_map()
     members = set(seed) | {0}
     while True:
         S = np.fromiter(members, dtype=np.int64)
-        inv_s = inv[S]
-        if (inv_s < 0).any():
-            missing = int(S[int(np.argmax(inv_s < 0))])
-            raise GyrogroupDataError(f"element {missing} has no left inverse; cannot close")
+        missing = S[inv[S] < 0]
+        if missing.size:
+            raise GyrogroupDataError(f"element {missing[0]} has no left inverse; cannot close")
         if 2 * len(members) > G.order:
             return frozenset(range(G.order))
         sums = C[S[:, None], S].ravel()
-        if sums.size > _SET_SUMS:
+        if sums.size > 1024:  # from about here a bool mask beats a Python set
             seen = np.zeros(G.order, dtype=bool)
             seen[sums] = True
             sums = np.flatnonzero(seen)
