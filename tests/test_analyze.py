@@ -32,9 +32,11 @@ from holomorph_reference import (
 )
 from lattice_reference import (
     ref_canonical_generators,
+    ref_close,
     ref_closed_sets,
     ref_covers,
     ref_is_group,
+    ref_operations,
     ref_restrict,
 )
 
@@ -65,6 +67,16 @@ def test_closure_is_closed(g3, g4):
     for G in (g3, g4):
         for x in range(G.order):
             assert_closed(G, closure(G, {x}))
+
+
+def test_closure_matches_reference_closure():
+    # from order 128 on a round of more than 1,024 sums marks them in a bool
+    # array, and a closure past half the group stops there
+    G = build_cyclic_gyrogroup(7)
+    ops = ref_operations(G)
+    seeds = [{x} for x in range(0, G.order, 5)] + [{2, 64}, {4, 66}, {8, 96}, {16, 65}]
+    for seed in seeds:
+        assert closure(G, seed).elements == tuple(sorted(ref_close(G, seed, ops)))
 
 
 def test_closure_rejects_bad_generators(g3):
