@@ -5,8 +5,8 @@ gyrations; ``ref_close`` closes a set under all three, one element at a time,
 through the public ``oplus``, ``inverse_of`` and ``gyration``.  The closed
 sets are found by a fixpoint over every one-element extension, the canonical
 generators by trying every combination of members in (size, lexicographic)
-order, and the covers by testing every pair of closed sets against every
-third one.  These searches are exponential or cubic, and serve only to check
+order against the closed sets, and the covers by testing every pair of closed
+sets against every third one.  These searches are exponential or cubic, and serve only to check
 the single pass in ``gyrogroups.analyze`` on small inputs.  ``ref_restrict``
 is the pair-by-pair restriction that ``restrict`` replaced.
 """
