@@ -23,6 +23,7 @@ from gyrogroups import (
 from gyrogroups import analyze
 from gyrogroups.analyze import _element_profiles, _holomorph_table
 from gyrogroups.construct import CyclicParams
+from gyrogroups.groups import first_group_axiom_violation
 
 from holomorph_reference import (
     ref_group_invariants,
@@ -30,6 +31,7 @@ from holomorph_reference import (
     ref_holomorph_table,
     ref_left_orders,
 )
+from iso_reference import ref_isomorphism
 from lattice_reference import (
     ref_canonical_generators,
     ref_close,
@@ -82,6 +84,16 @@ def test_closure_matches_reference_closure():
 def test_closure_rejects_bad_generators(g3):
     with pytest.raises(ValueError):
         closure(g3, {9})
+
+
+def test_closure_and_restrict_reject_elements_that_are_not_whole(g3):
+    with pytest.raises(ValueError, match=r"^generator entry not an integer at \(0,\): 2\.9$"):
+        closure(g3, [2.9])
+    with pytest.raises(ValueError, match=r"^subset entry not an integer at \(1,\): 2\.9$"):
+        restrict(g3, [0, 2.9, 4, 6])
+    # whole numbers of other types are taken as the element they name
+    assert closure(g3, [5.0]) == closure(g3, [5])
+    assert outcome(restrict, g3, [0, 2.0, 4, np.int64(6)]) == outcome(restrict, g3, [0, 2, 4, 6])
 
 
 # ---------------------------------------------------------------- enumeration
@@ -383,9 +395,60 @@ def test_isomorphic_order_mismatch(g3, g4):
     assert isomorphic(g3, g4) is None
 
 
-def test_isomorphic_respects_order_cap(g3):
-    with pytest.raises(ValueError, match="capped"):
-        isomorphic(g3, g3, max_order=4)
+def test_isomorphic_respects_order_cap():
+    with pytest.raises(ValueError) as raised:
+        isomorphic(build_cyclic_gyrogroup(6), build_cyclic_gyrogroup(6))
+    assert str(raised.value) == "exhaustive search capped at order 32"
+
+
+def test_isomorphic_matches_reference_on_small_tables(g3, g4, z8, z4xz2, z2cubed, dih8):
+    tables = (g3, g4, z8, z4xz2, z2cubed, dih8)
+    for G in tables:
+        for H in tables:
+            phi = isomorphic(G, H)
+            assert (None if phi is None else phi.images) == ref_isomorphism(G, H)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_isomorphic_matches_reference_on_relabellings(n, seed):
+    G = build_cyclic_gyrogroup(n)
+    sigma = (0, *(1 + np.random.default_rng(seed).permutation(G.order - 1)).tolist())
+    H = relabel(G, Permutation(sigma))
+    for left, right in ((G, H), (H, G)):
+        expected = ref_isomorphism(left, right)
+        assert expected is not None
+        assert isomorphic(left, right).images == expected
+
+
+def z4_by_z4():
+    """Z4 ⋊ Z4 with the generator of the second factor acting as x ↦ −x;
+    (a, b) is encoded as a + 4b."""
+    b, a = np.divmod(np.arange(16), 4)
+    sign = np.where(b % 2, -1, 1)[:, None]
+    return (a[:, None] + sign * a[None, :]) % 4 + 4 * ((b[:, None] + b[None, :]) % 4)
+
+
+def z4_z4_z2():
+    return direct_product(direct_product(cyclic_group(4), cyclic_group(4)), cyclic_group(2))
+
+
+def test_isomorphic_finds_relabelled_order_32_group():
+    G = FiniteGyrogroup.from_group(z4_z4_z2())
+    sigma = Permutation((0, *(1 + np.random.default_rng(5).permutation(31)).tolist()))
+    H = relabel(G, sigma)
+    phi = isomorphic(G, H)
+    assert phi is not None
+    images = np.asarray(phi)
+    assert (images[G.cayley] == H.cayley[images[:, None], images[None, :]]).all()
+
+
+def test_isomorphic_tells_order_32_groups_with_equal_profiles_apart():
+    assert first_group_axiom_violation(z4_by_z4()) is None
+    G = FiniteGyrogroup.from_group(z4_z4_z2())
+    H = FiniteGyrogroup.from_group(direct_product(z4_by_z4(), cyclic_group(2)))
+    assert sorted(_element_profiles(G)) == sorted(_element_profiles(H))
+    assert isomorphic(G, H) is None
 
 
 # ------------------------------------------------------------ degenerate check

@@ -205,6 +205,26 @@ def test_iso_above_search_cap_exits_one(tmp_path, capsys):
     assert err == "error: exhaustive search capped at order 32\n"
 
 
+def test_iso_tells_order_32_groups_with_equal_profiles_apart(tmp_path):
+    # a subprocess with a timeout turns a slow search into a failure
+    from test_analyze import z4_by_z4, z4_z4_z2
+
+    left = tmp_path / "left.csv"
+    right = tmp_path / "right.csv"
+    left.write_text(emit_tables(FiniteGyrogroup.from_group(z4_z4_z2()), "csv"))
+    right.write_text(emit_tables(
+        FiniteGyrogroup.from_group(direct_product(z4_by_z4(), cyclic_group(2))), "csv"))
+    src = str(Path(gyrogroups.__file__).parents[1])
+    path_list = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_list)))
+    done = subprocess.run(
+        [sys.executable, "-m", "gyrogroups.cli", "iso", "--left", str(left), "--right", str(right)],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert done.returncode == 1
+    assert done.stdout == "not isomorphic\n"
+
+
 def test_check_gyration_overflow_exits_one(tmp_path, capsys):
     # a Z9 file whose legend names 65,537 distinct permutations cannot be
     # validated: that is exit 1, like any other bad file, not an argument error
