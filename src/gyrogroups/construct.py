@@ -143,8 +143,10 @@ def build_cyclic_gyrogroup(n: int, *, max_n: int = DEFAULT_MAX_N) -> FiniteGyrog
     cayley = np.empty((p.order, p.order), dtype=np.int32)
     gyr = np.empty((p.order, p.order), dtype=np.uint16)
     j = np.arange(p.order, dtype=np.int32)
-    for rows in _row_blocks(p.order, p.order):
+    # an eighth of a block at a time, so that the few int32 temporaries of
+    # `oplus` stay under 1 MiB beside the tables the instance adopts
+    for rows in _row_blocks(p.order, 8 * p.order):
         i = j[rows, None]
         cayley[rows] = oplus(p, i, j)
         gyr[rows] = gyration_selector(p, i, j)
-    return FiniteGyrogroup(cayley, gyr, (j, half_shift(p, j)))
+    return FiniteGyrogroup._adopt(cayley, gyr, (j, half_shift(p, j)))

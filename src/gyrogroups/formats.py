@@ -386,7 +386,7 @@ def load_tables(document: str | bytes, *, strict: bool = True) -> FiniteGyrogrou
         gyr = gyr[sigma[:, None], sigma[None, :]]
         perms = sigma[perms[:, sigma]]
 
-    return FiniteGyrogroup(cayley, gyr, perms)
+    return FiniteGyrogroup._adopt(cayley, gyr, perms)
 
 
 def emit_lattice_dot(lattice: SubgyrogroupLattice) -> str:

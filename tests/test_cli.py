@@ -138,6 +138,17 @@ def test_check_detects_corrupted_entry(tmp_path, capsys, g3):
     assert doc.params["source"] == str(path)
 
 
+def test_check_fails_a_group_that_is_not_gyrocommutative(tmp_path, capsys, dih8):
+    # D4 is a gyrogroup, with identity gyrations, but not gyrocommutative;
+    # gyrocommutativity is one of the nine checks, so `check` exits 1
+    path = tmp_path / "d8.csv"
+    path.write_text(emit_tables(dih8, "csv"))
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 1
+    assert "gyrocommutativity: FAIL witness=(1, 4)" in out
+    assert out.count(": FAIL") == 1 and "verification FAILED" in out
+
+
 def test_check_reports_parse_error(tmp_path, capsys, g3):
     lines = emit_tables(g3, "csv").split("\n")
     lines[3] = lines[3].rsplit(",", 1)[0]

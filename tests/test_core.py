@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gyrogroups import core
+from gyrogroups import _rows, core
 from gyrogroups import (
     CHECK_NAMES,
     FiniteGyrogroup,
@@ -28,7 +28,10 @@ from gyrogroups import (
     check_right_translations,
     cyclic_group,
     dihedral_group,
+    direct_product,
+    emit_tables,
     inverse_of,
+    load_tables,
     verify,
 )
 
@@ -40,7 +43,6 @@ from pair_reference import (
     ref_loop_property,
 )
 from triple_reference import (
-    ref_class_minima,
     ref_gyrator_witness,
     ref_gyroassoc_witness,
     ref_sampled_witnesses,
@@ -403,12 +405,11 @@ def test_verify_scans_the_triples_once_with_left_cancellation(monkeypatch):
     counted = _counting_laws(monkeypatch)
     G = build_cyclic_gyrogroup(5)
     assert verify(G).passed
-    # one pair per class, all of its c's
-    classes = ref_class_minima(G)
-    assert len(classes) == 155
-    assert sum(counted) == len(classes) * G.order
-    # x ⊕ y = y holds the law at every triple but has no left cancellation,
-    # so every triple is scanned, and the gyrator identity is undefined
+    # rows 0, 1 and 16 are scanned directly, all of their b's and c's, and
+    # the other rows derived from them; the gyrator identity adds none
+    assert counted == [32 * 32] * 3
+    # x ⊕ y = y holds the law at every triple, but no row is x ⊕ y for two
+    # other rows, so every row is scanned, and the gyrator identity is undefined
     counted.clear()
     right_zero = FiniteGyrogroup(np.tile(np.arange(32), (32, 1)))
     report = verify(right_zero)
@@ -417,38 +418,54 @@ def test_verify_scans_the_triples_once_with_left_cancellation(monkeypatch):
     assert sum(counted) == 32**3
 
 
-# ------------------------------------------------------------- pair classes
+def test_verify_sorts_the_cayley_rows_once(monkeypatch):
+    # the row derivation's gate reuses the left translations check of `verify`
+    calls = []
+    translations = core._translations
+
+    def counting(name, rows):
+        calls.append(name)
+        return translations(name, rows)
+
+    monkeypatch.setattr(core, "_translations", counting)
+    assert verify(build_cyclic_gyrogroup(6)).passed
+    assert calls == ["left_translations_bijective", "right_translations_bijective"]
 
 
-def _class_spy(monkeypatch):
-    """The masks `_pair_classes` returns, as a list."""
-    masks = []
-    pair_classes = core._pair_classes
-
-    def spy(G):
-        masks.append(pair_classes(G))
-        return masks[-1]
-
-    monkeypatch.setattr(core, "_pair_classes", spy)
-    return masks
+# ------------------------------------------------------------- row derivation
 
 
-def _assert_class_scan_matches_reference(G, monkeypatch):
-    """`verify` takes the class scan on G, unless the law fails in row 0,
-    and gives the reference witnesses."""
-    masks = _class_spy(monkeypatch)
-    report = verify(G)
-    witness = report.check("left_gyroassociativity").witness
-    assert len(masks) == (0 if witness and witness[0] == 0 else 1)
-    mask = core._pair_classes(G)
-    assert mask is not None
-    assert set(map(tuple, np.argwhere(mask).tolist())) == ref_class_minima(G)
-    for name, reference in (("left_gyroassociativity", ref_gyroassoc_witness),
-                            ("gyrator_identity", ref_gyrator_witness)):
-        result = report.check(name)
-        assert result.witness == reference(G)
-        if not result.passed:
-            assert witness_confirms(G, result)
+def _scans(monkeypatch):
+    """The names of the triple scans run, as a list."""
+    ran = []
+    for module, name in ((_rows, "first_violation"), (core, "_first_gyroassoc_violation"),
+                         (core, "_first_gyrator_violation")):
+        scan = getattr(module, name)
+
+        def spy(*args, scan=scan, name=name):
+            ran.append(name)
+            return scan(*args)
+
+        monkeypatch.setattr(module, name, spy)
+    return ran
+
+
+def _assert_derivation_matches_reference(G):
+    """`verify` derives the rows of G and gives the reference witnesses; with
+    left cancellation the gyrator identity reuses the associativity result
+    and scans nothing."""
+    with pytest.MonkeyPatch.context() as patch:
+        scans = _scans(patch)
+        report = verify(G)
+    assert scans[0] == "first_violation"
+    assoc = report.check("left_gyroassociativity")
+    assert assoc.witness == ref_gyroassoc_witness(G)
+    if not assoc.passed:
+        assert witness_confirms(G, assoc)
+    gyrator = report.check("gyrator_identity")
+    assert gyrator.witness == ref_gyrator_witness(G)
+    if core._left_cancellation_holds(G):
+        assert scans == ["first_violation"] and gyrator.witness == assoc.witness
 
 
 def _conjugations(table):
@@ -460,7 +477,7 @@ def _conjugations(table):
 def _gyration_mutations(n, seed):
     """The order-2^n construction, then copies with gyr[a,b] switched to the
     other stored gyration at a few random pairs; both gyrations are
-    automorphisms, so the class scan applies."""
+    automorphisms, so the rows are derived."""
     G = build_cyclic_gyrogroup(n)
     yield G
     rng = np.random.default_rng(seed)
@@ -481,22 +498,20 @@ def _random_conjugations(sides, seed):
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
-def test_class_scan_matches_reference_on_gyration_mutations(n, monkeypatch):
+def test_derivation_matches_reference_on_gyration_mutations(n):
     for G in _gyration_mutations(n, n):
-        with monkeypatch.context() as patch:
-            _assert_class_scan_matches_reference(G, patch)
+        _assert_derivation_matches_reference(G)
 
 
 @pytest.mark.parametrize("sides", [4, 5, 6, 7, 8])
-def test_class_scan_matches_reference_on_dihedral_conjugations(sides, monkeypatch):
+def test_derivation_matches_reference_on_dihedral_conjugations(sides):
     for G in _random_conjugations(sides, sides):
-        with monkeypatch.context() as patch:
-            _assert_class_scan_matches_reference(G, patch)
+        _assert_derivation_matches_reference(G)
 
 
 @st.composite
-def class_tables(draw):
-    """Tables the class scan applies to: Z_n with gyrations x ↦ ux for units
+def derivation_tables(draw):
+    """Tables whose rows are derived: Z_n with gyrations x ↦ ux for units
     u, D_m with conjugations, or a small construction with its two
     gyrations; each pair gets the identity, or now and then another one."""
     kind = draw(st.sampled_from(["cyclic", "dihedral", "construction"]))
@@ -522,25 +537,56 @@ def class_tables(draw):
     return FiniteGyrogroup(table, gyr.reshape(N, N), perms)
 
 
-@given(class_tables())
+@given(derivation_tables())
 @settings(max_examples=200, deadline=None)
-def test_class_scan_matches_reference_on_random_tables(G):
-    with pytest.MonkeyPatch.context() as patch:
-        _assert_class_scan_matches_reference(G, patch)
+def test_derivation_matches_reference_on_random_tables(G):
+    _assert_derivation_matches_reference(G)
 
 
-def test_pair_classes_need_left_cancellation_and_automorphic_gyrations():
+@st.composite
+def failing_derivation_tables(draw):
+    """The order-2^n construction (n = 3..7) with one to three gyrations
+    switched to the other one, or D8, Z4×Z4 or Z16 with two entries of one
+    row swapped, which keeps that row a permutation but not the columns
+    (Light's test for groups checks such tables)."""
+    if draw(st.booleans()):
+        G = build_cyclic_gyrogroup(draw(st.integers(3, 7)))
+        cells = st.tuples(st.integers(0, G.order - 1), st.integers(0, G.order - 1))
+        gyr = np.array(G.gyr_table)
+        for a, b in draw(st.lists(cells, min_size=1, max_size=3)):
+            gyr[a, b] ^= 1
+        return FiniteGyrogroup(G.cayley, gyr, G.perm_matrix)
+    table = np.array(draw(st.sampled_from([
+        dihedral_group(4), direct_product(cyclic_group(4), cyclic_group(4)), cyclic_group(16)
+    ])))
+    a = draw(st.integers(0, len(table) - 1))
+    b1, b2 = draw(st.lists(st.integers(0, len(table) - 1), min_size=2, max_size=2, unique=True))
+    table[a, [b1, b2]] = table[a, [b2, b1]]
+    return FiniteGyrogroup.from_group(table)
+
+
+@given(failing_derivation_tables())
+@settings(max_examples=150, deadline=None)
+def test_derivation_matches_reference_on_flipped_gyrations_and_swapped_rows(G):
+    _assert_derivation_matches_reference(G)
+
+
+def test_derivation_needs_bijective_rows_and_automorphic_gyrations(monkeypatch):
+    scans = _scans(monkeypatch)
     # the swap of 1 and 2 is no automorphism of Z_4: 1 + 1 = 2, but 2 + 2 = 0
     swap = FiniteGyrogroup(cyclic_group(4), np.zeros((4, 4), dtype=int), [[0, 2, 1, 3]])
-    assert core._left_cancellation_holds(swap)
-    assert core._pair_classes(swap) is None
-    # x ⊕ y = y, with identity gyrations, lacks left cancellation: b ⊕ x = 0
-    # only for x = 0
-    right_zero = FiniteGyrogroup(np.tile(np.arange(4), (4, 1)))
-    assert check_gyr_automorphisms(right_zero).passed
-    assert core._pair_classes(right_zero) is None
-    z4 = FiniteGyrogroup.from_group(cyclic_group(4))
-    assert core._pair_classes(z4).sum() == len(ref_class_minima(z4))
+    # row 1 of Z_4 repeats an entry, so it is no permutation
+    repeat = cyclic_group(4)
+    repeat[1, 0] = repeat[1, 1]
+    # x ⊕ y = y lacks left cancellation, but its rows are permutations
+    right_zero = np.tile(np.arange(4), (4, 1))
+    for table, scan in ((swap, "_first_gyroassoc_violation"),
+                        (FiniteGyrogroup(repeat), "_first_gyroassoc_violation"),
+                        (FiniteGyrogroup(right_zero), "first_violation")):
+        result = check_left_gyroassociativity(table)
+        assert scans == [scan]
+        scans.clear()
+        assert result.witness == ref_gyroassoc_witness(table)
 
 
 def _linear_maps(count, seed):
@@ -560,17 +606,36 @@ def _linear_maps(count, seed):
     return [list(images) for images in maps]
 
 
-def test_pair_classes_past_uint16_products(monkeypatch):
+def test_derivation_past_uint16_products():
     # Z_2^6 whose two referenced gyrations, the identity and the swap of
-    # bits 0 and 1, are stored past index 1024, where gyr[a,b]·N leaves uint16
+    # bits 0 and 1, are stored past index 1024, where gyr[a,b]·N leaves
+    # uint16 and the code of four gyrations leaves uint32
     N = 64
     swap = [x & ~3 | (x & 1) << 1 | (x >> 1) & 1 for x in range(N)]
     perms = [m for m in _linear_maps(1100, 0) if m != swap] + [list(range(N)), swap]
     gyr = np.where(np.random.default_rng(1).random((N, N)) < 0.9, len(perms) - 2, len(perms) - 1)
     G = FiniteGyrogroup(np.arange(N)[:, None] ^ np.arange(N), gyr, perms)
-    assert int(G.gyr_table.min()) * N >= 1 << 16
-    _assert_class_scan_matches_reference(G, monkeypatch)
+    assert int(G.gyr_table.min()) * N >= 1 << 16 and len(perms) ** 4 > 1 << 32
+    _assert_derivation_matches_reference(G)
     assert not verify(G).check("left_gyroassociativity").passed
+
+
+def test_derivation_past_uint16_products_at_order_256():
+    # the construction at n = 8 with its two gyrations stored after 300
+    # others, and two of them switched: t·N + b and k·N + x leave uint16
+    G = build_cyclic_gyrogroup(8)
+    N = G.order
+    others = np.random.default_rng(2).permuted(np.tile(np.arange(N), (300, 1)), axis=1)
+    gyr = np.array(G.gyr_table, dtype=np.int64) + 300
+    gyr[200, 7] ^= 1
+    gyr[130, 255] ^= 1
+    H = FiniteGyrogroup(G.cayley, gyr, [*others, *G.perm_matrix])
+    assert int(H.gyr_table.min()) * N >= 1 << 16
+    # row 130 is the first whose law changed, and it fails first at the
+    # smallest c the two gyrations move
+    result = check_left_gyroassociativity(H)
+    assert result.witness == (130, 255, 1)
+    assert witness_confirms(H, result)
 
 
 # ------------------------------------------------------ triple scans and CPUs
@@ -651,7 +716,7 @@ def _planted_case(case):
 def test_threaded_scan_finds_smallest_witness(case, no_thread):
     # the swapped gyrations are no automorphisms, so the scan takes every pair
     G, reference = _planted_case(case)
-    assert core._pair_classes(G) is None
+    assert not check_gyr_automorphisms(G).passed
     result = check_left_gyroassociativity(G)
     assert result.witness == min(PLANTED[case]) == reference
     assert witness_confirms(G, result)
@@ -706,19 +771,6 @@ def test_block_edges_give_the_smallest_witness(case, no_thread, monkeypatch):
     _assert_triple_witnesses(G)
 
 
-@pytest.mark.parametrize("column", range(1, 64))
-def test_b_range_edges_with_a_class_mask(column, monkeypatch):
-    # planted at the last class minimum of one column and the first past row
-    # 0 of the next, the smaller pair wins
-    _blocks_of_16_rows(monkeypatch)
-    mask = core._pair_classes(build_cyclic_gyrogroup(6))
-    late = np.flatnonzero(mask[:, column - 1])[-1]
-    rows = np.flatnonzero(mask[:, column])
-    early = rows[1] if len(rows) > 1 else 0
-    cells = [(int(late), column - 1, 7), (int(early), column, 9)]
-    assert core._first_gyroassoc_violation(_planted(6, cells), lambda: mask) == min(cells)
-
-
 def test_mixed_column_runs_are_sorted_by_gyration(monkeypatch):
     # rows 33..48 of column 33 alternate between the construction's two
     # gyrations and carry the two planted ones, which sort last, row 36 after
@@ -766,8 +818,8 @@ def test_scan_matches_reference_on_random_small_tables(table_and_rows):
 
 
 def test_scan_peak_memory_at_order_512():
-    # the scan holds a few block-sized temporaries and peaks near 3.3 MB with
-    # the classes; an N×N intp index alone would add 2 MB
+    # the scan holds a few block-sized temporaries and peaks near 1.9 MB with
+    # the row derivation; an N×N intp index alone would add 2 MB
     G = build_cyclic_gyrogroup(9)
     gyr = np.array(G.gyr_table)
     gyr[511, 0] ^= 1
@@ -783,9 +835,9 @@ def test_scan_peak_memory_at_order_512():
 
 @pytest.mark.parametrize("cpus", [2, 4])
 def test_scan_peak_memory_without_classes_at_order_512(monkeypatch, cpus):
-    # a gyration that is no automorphism keeps `verify` off the class scan;
-    # the scan runs in the calling thread, so its peak, near 2.4 MB, does not
-    # grow with the CPUs
+    # a gyration that is no automorphism keeps `verify` off the row
+    # derivation, on the scan of every pair; the scan runs in the calling
+    # thread, so its peak, near 2.4 MB, does not grow with the CPUs
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     G = _planted(9, PLANTED["row N-1"])
     assert not check_gyr_automorphisms(G).passed
@@ -799,10 +851,10 @@ def test_scan_peak_memory_without_classes_at_order_512(monkeypatch, cpus):
     assert peak <= 3.5e6
 
 
-def test_class_scan_peak_memory_at_order_512(monkeypatch):
-    # the classes, their gate and the class scan, each table's facts computed
-    # under the trace
-    masks = _class_spy(monkeypatch)
+def test_derivation_peak_memory_at_order_512(monkeypatch):
+    # the gate and the row derivation, each table's facts computed under the
+    # trace, hold blocks of at most _BLOCK_CELLS // 4 cells: near 1.9 MB
+    scans = _scans(monkeypatch)
     G = build_cyclic_gyrogroup(9)
     gyr = np.array(G.gyr_table)
     gyr[511, 0] ^= 1
@@ -814,13 +866,14 @@ def test_class_scan_peak_memory_at_order_512(monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert masks.pop() is not None
+        assert scans.pop() == "first_violation"
         assert result.witness == witness
-        assert peak <= 3.5e6
+        assert peak <= 2.5e6
 
 
-@pytest.mark.parametrize("classes", [False, True], ids=["all pairs", "classes"])
-def test_witness_in_row_0_is_found_in_the_first_rows(classes, no_thread, monkeypatch):
+@pytest.mark.parametrize("scan", [core._first_gyroassoc_violation, _rows.first_violation],
+                         ids=["all pairs", "derivation"])
+def test_witness_in_row_0_is_found_in_the_first_rows(scan, no_thread, monkeypatch):
     # row 0 goes first, so a witness in row 0 and a late column ends the
     # scan after it
     G = build_cyclic_gyrogroup(9)
@@ -828,11 +881,8 @@ def test_witness_in_row_0_is_found_in_the_first_rows(classes, no_thread, monkeyp
     gyr[0, 500] ^= 1
     G = FiniteGyrogroup(G.cayley, gyr, G.perm_matrix)
     counted = _counting_laws(monkeypatch)
-    masks = _class_spy(monkeypatch)
-    pairs = (lambda: core._pair_classes(G)) if classes else (lambda: None)
-    assert core._first_gyroassoc_violation(G, pairs) == (0, 500, 1)
+    assert scan(G) == (0, 500, 1)
     assert sum(counted) == G.order**2
-    assert not masks
 
 
 def test_gyrocommutative(g3, z8, dih8):
@@ -1161,6 +1211,26 @@ def test_constructor_rejects_entries_that_are_not_whole_numbers():
     assert G.cayley.dtype == np.int32 and G.cayley.tolist() == z2
     assert G.gyr_table.tolist() == [[0, 0], [0, 1]]
     assert G.perm_matrix.tolist() == [[0, 1], [1, 0]]
+
+
+def test_builders_hand_their_tables_over_and_the_constructor_copies():
+    # build_cyclic_gyrogroup and load_tables give the instance the arrays
+    # they built, read-only; the public constructor copies even those
+    G = build_cyclic_gyrogroup(4)
+    H = load_tables(emit_tables(G, "csv"))
+    for built in (G, H):
+        assert not built.cayley.flags.writeable and not built.gyr_table.flags.writeable
+        copy = FiniteGyrogroup(built.cayley, built.gyr_table, built.perm_matrix)
+        assert not np.shares_memory(copy.cayley, built.cayley)
+        assert not np.shares_memory(copy.gyr_table, built.gyr_table)
+
+
+def test_verify_group_of_order_128_with_one_gyration():
+    # a one-row permutation list of 128 cells once took int8 flat indices,
+    # whose multiplier 128 overflowed in the gyrocommutativity check
+    G = FiniteGyrogroup.from_group(cyclic_group(128))
+    assert len(G.perm_matrix) == 1
+    assert verify(G).passed
 
 
 def test_constructor_keeps_narrow_tables_narrow_and_its_own(monkeypatch):
