@@ -43,6 +43,8 @@ from pair_reference import (
     ref_loop_property,
 )
 from triple_reference import (
+    ref_class_minima,
+    ref_class_scan_witness,
     ref_gyrator_witness,
     ref_gyroassoc_witness,
     ref_sampled_witnesses,
@@ -497,16 +499,23 @@ def _random_conjugations(sides, seed):
     yield FiniteGyrogroup(table, gyr, _conjugations(table))
 
 
+def _assert_class_scan_matches_reference(G):
+    """A scan of the class minima alone (`ref_class_scan_witness`) and the
+    row derivation both give the reference witness on G."""
+    assert ref_class_scan_witness(G) == ref_gyroassoc_witness(G)
+    _assert_derivation_matches_reference(G)
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
-def test_derivation_matches_reference_on_gyration_mutations(n):
+def test_class_scan_matches_reference_on_gyration_mutations(n):
     for G in _gyration_mutations(n, n):
-        _assert_derivation_matches_reference(G)
+        _assert_class_scan_matches_reference(G)
 
 
 @pytest.mark.parametrize("sides", [4, 5, 6, 7, 8])
-def test_derivation_matches_reference_on_dihedral_conjugations(sides):
+def test_class_scan_matches_reference_on_dihedral_conjugations(sides):
     for G in _random_conjugations(sides, sides):
-        _assert_derivation_matches_reference(G)
+        _assert_class_scan_matches_reference(G)
 
 
 @st.composite
@@ -769,6 +778,30 @@ def test_block_edges_give_the_smallest_witness(case, no_thread, monkeypatch):
     G = _planted(6, BLOCK_EDGES[case])
     assert check_left_gyroassociativity(G).witness == min(BLOCK_EDGES[case])
     _assert_triple_witnesses(G)
+
+
+@functools.cache
+def _class_mask(n):
+    """The class minima of the order-2^n construction, as an N×N mask."""
+    G = build_cyclic_gyrogroup(n)
+    mask = np.zeros((G.order, G.order), dtype=bool)
+    mask[tuple(zip(*ref_class_minima(G)))] = True
+    return mask
+
+
+@pytest.mark.parametrize("column", range(1, 64))
+def test_b_range_edges_with_a_class_mask(column, monkeypatch):
+    # planted at the last class minimum of one column and the first past row
+    # 0 of the next, which spreads the pairs over rows and blocks: each b
+    # scans only the rows above the smallest failing one so far, and the
+    # smaller pair wins
+    _blocks_of_16_rows(monkeypatch)
+    mask = _class_mask(6)
+    late = np.flatnonzero(mask[:, column - 1])[-1]
+    rows = np.flatnonzero(mask[:, column])
+    early = rows[1] if len(rows) > 1 else 0
+    cells = [(int(late), column - 1, 7), (int(early), column, 9)]
+    assert core._first_gyroassoc_violation(_planted(6, cells)) == min(cells)
 
 
 def test_mixed_column_runs_are_sorted_by_gyration(monkeypatch):
