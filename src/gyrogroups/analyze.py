@@ -35,6 +35,7 @@ from .core import (
 )
 from .groups import (
     GroupInvariants,
+    _invariants,
     cyclic_group,
     direct_product,
     element_orders,
@@ -354,7 +355,7 @@ def gyroholomorph(G: FiniteGyrogroup) -> GyroholomorphGroup:
         raise GyrogroupDataError(
             f"gyroholomorph table fails group axiom {violation[0]} at {violation[1]}"
         )
-    invariants = group_invariants(table)
+    invariants = _invariants(table)
     table.setflags(write=False)
     return GyroholomorphGroup(
         order=table.shape[0],

@@ -7,7 +7,8 @@ deduplicated list of permutations (the gyrations).  All checks below report
 pass/fail with the lexicographically smallest witness, so reports are
 deterministic regardless of how the scan is partitioned.  (Sampled scans,
 used above EXHAUSTIVE_LIMIT, instead report the first witness in the seeded
-sample order and carry a "sampled" note.)
+sample order and carry a "sampled" note; they draw nothing where the row
+derivation below proves every triple.)
 
 One triple scan serves both triple laws when the table has left cancellation,
 ⊖x ⊕ (x ⊕ y) = y for all x, y (an O(N²) test).  Then L_{⊖z} inverts the left
@@ -74,11 +75,8 @@ SAMPLE_SIZE = 10_000_000
 SAMPLE_SEED = 1729
 # Gyration indices are stored as uint16.
 _GYRATION_LIMIT = 1 << 16
-# A sampled triple scan of order N runs a worker per CPU available to the
-# process, but at most N // _MIN_ROWS_PER_WORKER.
-_MIN_ROWS_PER_WORKER = 120
-# The triples a sampled scan holds drawn at once, split among its workers.
-_SAMPLE_CHUNK = 1 << 17
+# The triples a sampled scan draws at once.
+_SAMPLE_CHUNK = 1 << 15
 # The cells (a ⊕ (b ⊕ c) for one pair and one c) an exhaustive triple scan
 # holds at once: it takes the rows in blocks of _BLOCK_CELLS // N, one b at a
 # time.  Every other pass over a whole table that would need a temporary as
@@ -577,42 +575,6 @@ def _left_cancellation_holds(G: FiniteGyrogroup) -> bool:
     ))
 
 
-def _scan_workers(N: int) -> int:
-    """The worker count of a sampled triple scan of order N."""
-    import os
-
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:  # no affinity call outside Linux and some BSDs
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, N // _MIN_ROWS_PER_WORKER))
-
-
-def _run_workers(workers: int, work: Callable[[int], None], stop: Callable[[], None]) -> None:
-    """``work(w)`` for each w < workers: the calling thread takes w = 0, and
-    one thread each the others.  The first error calls ``stop``, and the
-    calling thread re-raises it once every worker is done."""
-    import threading
-
-    errors: list[BaseException] = []
-
-    def run(w: int) -> None:
-        try:
-            work(w)
-        except BaseException as exc:
-            errors.append(exc)
-            stop()
-
-    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    run(0)
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
-
-
 def _row_violation(
     G: FiniteGyrogroup, C: np.ndarray, holds, a: int, lo: int = 0, hi: int | None = None
 ) -> tuple[int, int, int] | None:
@@ -791,33 +753,23 @@ def check_gyrocommutative(G: FiniteGyrogroup) -> CheckResult:
     return CheckResult("gyrocommutativity", True)
 
 
-def _sample_draws(
-    N: int, seed: int, start: int, count: int, rng: np.random.Generator | None = None
-) -> np.ndarray:
-    """Triples start..start+count-1 of the sample
-    ``default_rng(seed).integers(0, N, size=(sample_size, 3))``, as a count×3 array in
-    the narrowest signed type that holds -N.
+def _proved_everywhere(G: FiniteGyrogroup) -> bool:
+    """Whether both triple laws hold on every triple, as the row derivation
+    proves with at most ``N.bit_length()`` rows scanned directly, where every
+    Cayley row is a permutation, every referenced gyration an automorphism
+    and left cancellation holds (so the gyrator identity has the same answer).
 
-    ``rng`` is that generator standing at triple ``start``, and draws them;
-    only it reproduces numpy's rejections.  Without it N must be 2**n, n >= 1.
-    numpy's bounded rule (Lemire) then never rejects, so each draw is the top
-    n bits of one 32-bit word of the PCG64 stream, which splits each 64-bit
-    output low half first: the triples are read from a fresh ``PCG64(seed)``
-    advanced to their first word, and share no state with other chunks.
+    A gyrogroup needs no more rows: its passing rows, closed under ⊕ by the
+    derivation, are a subgyrogroup, whose order divides N (Lagrange), so each
+    row scanned outside them at least doubles them.  Any other table that
+    needs more is left to the sample.
     """
-    dtype = np.min_scalar_type(-N)
-    if rng is not None:
-        # int32 draws are the int64 ones, in half the memory
-        return rng.integers(0, N, size=(count, 3), dtype=np.int32).astype(dtype)
-    n = N.bit_length() - 1
-    word = 3 * start
-    bits = np.random.PCG64(seed)
-    bits.advance(word // 2)
-    raw = bits.random_raw(-(-(word % 2 + 3 * count) // 2))
-    words = np.empty((len(raw), 2), dtype)
-    np.right_shift(raw, 64 - n, out=words[:, 1], casting="unsafe")
-    np.bitwise_and(np.right_shift(raw, 32 - n, out=raw), N - 1, out=words[:, 0], casting="unsafe")
-    return words.ravel()[word % 2 : word % 2 + 3 * count].reshape(count, 3)
+    if not (check_left_translations(G).passed and check_gyr_automorphisms(G).passed
+            and _left_cancellation_holds(G)):
+        return False
+    from . import _rows
+
+    return _rows.first_violation(G, G.order.bit_length()) is None
 
 
 def _sampled_triples(
@@ -826,92 +778,47 @@ def _sampled_triples(
     """Seeded-sample versions of the two triple checks for large orders.
 
     The sample is ``default_rng(seed).integers(0, N, size=(sample_size, 3))``,
-    taken in chunks of _SAMPLE_CHUNK // workers triples (`_scan_workers`), so
-    the triples held at once stay near _SAMPLE_CHUNK.  Each worker takes the
-    next chunk under a lock and draws and evaluates it outside, where numpy
-    releases the GIL: for N = 2**n (n >= 1) a chunk is drawn on its own (see
-    `_sample_draws`); other orders draw under the lock, in turn, from one
-    generator.  A law's witness is the first failing draw of its earliest
-    failing chunk, the first failing draw of the sample however the threads
-    are scheduled.  No chunk is drawn once every law has failed in an
-    earlier one.
+    drawn from that one generator _SAMPLE_CHUNK triples at a time, which
+    gives the same triples.  A law's witness is its first failing draw, and
+    no chunk is drawn once every law has failed.  Where both laws are proved
+    on every triple (`_proved_everywhere`), no draw can fail, and none is
+    made.
     """
-    import threading
-
     N = G.order
-    C = _FlatTable(G.cayley.astype(np.min_scalar_type(N - 1)))
-    P = _FlatTable(G.perm_matrix)
-    Gy = G.gyr_table.ravel()
     inv = G.left_inverse_map()
-    laws = [lambda ab, a_bc, gyr_c: _gyroassoc_holds(C, ab, a_bc, gyr_c)]
     # otherwise the gyrator identity is undefined, or the associativity
     # witness decides it (see the module docstring)
     scan_gyrator = bool((inv >= 0).all()) and not _left_cancellation_holds(G)
-    if scan_gyrator:
-        laws.append(lambda ab, a_bc, gyr_c: _gyrator_holds(C, inv, ab, a_bc, gyr_c))
-    # (chunk, witness) of each law's earliest failing chunk so far
-    first: list[tuple[int, tuple[int, ...]] | None] = [None] * len(laws)
+    witness: list[tuple[int, ...] | None] = [None] * (1 + scan_gyrator)
 
-    workers = _scan_workers(N)
-    chunk = _SAMPLE_CHUNK // workers
-    chunks = -(-sample_size // chunk)
-    # an order 2**n draws each chunk on its own (see `_sample_draws`)
-    rng = None if N > 1 and N & (N - 1) == 0 else np.random.default_rng(seed)
-    lock = threading.Lock()
-    drawn = 0
-
-    def needed(f: tuple[int, tuple[int, ...]] | None, i: int) -> bool:
-        """Whether chunk i can hold a law's witness, given its ``first``."""
-        return f is None or f[0] > i
-
-    def terms(abc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """a ⊕ b, a ⊕ (b ⊕ c) and gyr[a,b]c at the draws (a, b, c)."""
-        a, b, c = abc.T
-        ab_cell = C.cell(a, b)
-        return np.take(C.flat, ab_cell), C[a, C[b, c]], P[np.take(Gy, ab_cell), c]
-
-    def next_chunk() -> bool:
-        """Draw and evaluate the next chunk; False when none is needed.  A
-        chunk's arrays live in this call only, so none outlives its chunk."""
-        nonlocal drawn
-        with lock:
-            i = drawn
-            if i >= chunks or not any(needed(f, i) for f in first):
-                return False
-            drawn += 1
-            draw = (N, seed, i * chunk, min(chunk, sample_size - i * chunk))
-            if rng is not None:
-                abc = _sample_draws(*draw, rng)
-        if rng is None:
-            abc = _sample_draws(*draw)
-        ab, a_bc, gyr_c = terms(abc)
-        for law, holds in enumerate(laws):
-            if not needed(first[law], i):
-                continue
-            bad = np.flatnonzero(~holds(ab, a_bc, gyr_c))
-            if bad.size:
-                with lock:
-                    if needed(first[law], i):
-                        first[law] = (i, tuple(int(v) for v in abc[bad[0]]))
-        return True
-
-    def scan(_w: int) -> None:
-        while next_chunk():
-            pass
-
-    def stop() -> None:
-        nonlocal drawn
-        with lock:
-            drawn = chunks
-
-    _run_workers(workers, scan, stop)
-    witness = [None if f is None else f[1] for f in first]
+    if not _proved_everywhere(G):
+        C = _FlatTable(G.cayley.astype(np.min_scalar_type(N - 1)))
+        P = _FlatTable(G.perm_matrix)
+        Gy = G.gyr_table.ravel()
+        laws = [lambda ab, a_bc, gyr_c: _gyroassoc_holds(C, ab, a_bc, gyr_c)]
+        if scan_gyrator:
+            laws.append(lambda ab, a_bc, gyr_c: _gyrator_holds(C, inv, ab, a_bc, gyr_c))
+        rng = np.random.default_rng(seed)
+        for start in range(0, sample_size, _SAMPLE_CHUNK):
+            # int32 draws are the int64 ones, in half the memory
+            abc = rng.integers(0, N, size=(min(_SAMPLE_CHUNK, sample_size - start), 3),
+                               dtype=np.int32)
+            a, b, c = abc.T
+            ab_cell = C.cell(a, b)
+            terms = np.take(C.flat, ab_cell), C[a, C[b, c]], P[np.take(Gy, ab_cell), c]
+            for law, holds in enumerate(laws):
+                if witness[law] is None:
+                    bad = np.flatnonzero(~holds(*terms))
+                    if bad.size:
+                        witness[law] = tuple(int(v) for v in abc[bad[0]])
+            if None not in witness:
+                break
 
     note = "sampled"
-    assoc = CheckResult("left_gyroassociativity", first[0] is None, witness[0], note=note)
+    assoc = CheckResult("left_gyroassociativity", witness[0] is None, witness[0], note=note)
     if not scan_gyrator:
         return assoc, _gyrator_identity(G, assoc)
-    gyrator = CheckResult("gyrator_identity", first[1] is None, witness[1], note=note)
+    gyrator = CheckResult("gyrator_identity", witness[1] is None, witness[1], note=note)
     return assoc, gyrator
 
 

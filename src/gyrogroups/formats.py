@@ -22,8 +22,7 @@ from .core import (
     VerificationReport,
     _distinct,
     _row_blocks,
-    check_left_translations,
-    check_right_translations,
+    _translations,
 )
 
 __all__ = [
@@ -365,10 +364,8 @@ def load_tables(document: str | bytes, *, strict: bool = True) -> FiniteGyrogrou
     cayley, gyr, perms = _read_tables(document)
     n = len(cayley)
     if strict:
-        block = FiniteGyrogroup.from_group(cayley)
-        checks = {"row": check_left_translations, "column": check_right_translations}
-        for kind, check in checks.items():
-            latin = check(block)
+        for kind, rows in (("row", cayley), ("column", cayley.T)):
+            latin = _translations(kind, rows)
             if not latin.passed:
                 index, first, second = latin.witness
                 raise TableFormatError(

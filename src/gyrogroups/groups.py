@@ -113,10 +113,15 @@ class GroupInvariants:
 
 def group_invariants(table: np.ndarray) -> GroupInvariants:
     T = np.asarray(table)
-    n = T.shape[0]
     violation = first_group_axiom_violation(T)
     if violation is not None:
         raise ValueError(f"not a group table: {violation[0]} fails at {violation[1]}")
+    return _invariants(T)
+
+
+def _invariants(T: np.ndarray) -> GroupInvariants:
+    """`group_invariants` of a table already known to be a group's."""
+    n = T.shape[0]
     orders = element_orders(T)
     inv = np.argmax(T == 0, axis=1)
     commutators = _distinct(T[T, inv[T.T]])

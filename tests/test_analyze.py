@@ -20,7 +20,7 @@ from gyrogroups import (
     restrict,
     verify,
 )
-from gyrogroups import analyze
+from gyrogroups import analyze, groups
 from gyrogroups.analyze import _element_profiles, _holomorph_table
 from gyrogroups.construct import CyclicParams
 from gyrogroups.groups import first_group_axiom_violation
@@ -316,6 +316,22 @@ def test_gyroholomorph_matches_entrywise_reference(g3, g4, z8, z4xz2, z2cubed, d
         assert np.array_equal(_holomorph_table(G), ref_holomorph_table(G))
     with pytest.raises(GyrogroupDataError, match="gyroholomorph table fails group axiom"):
         gyroholomorph(G)
+
+
+def test_gyroholomorph_checks_the_group_axioms_once(g4, monkeypatch):
+    calls = []
+
+    def counting(table):
+        calls.append(len(table))
+        return first_group_axiom_violation(table)
+
+    for module in (analyze, groups):
+        monkeypatch.setattr(module, "first_group_axiom_violation", counting)
+    hol = gyroholomorph(g4)
+    assert calls == [32]
+    # the invariants are those group_invariants gives, which checks again
+    assert hol.invariants == groups.group_invariants(hol.cayley)
+    assert calls == [32, 32]
 
 
 def test_gyroholomorph_structure(g4):

@@ -283,7 +283,7 @@ def test_check_report_ends_when_gyrations_generate_s8(tmp_path):
 
 
 def test_cli_import_loads_no_pool_modules():
-    # the sampled triple scan's workers use threading alone, so no command
+    # numpy itself imports threading; no command starts a thread, and none
     # pays for importing a pool module at startup
     src = str(Path(gyrogroups.__file__).parents[1])
     path_list = [src, os.environ.get("PYTHONPATH")]
@@ -325,6 +325,29 @@ def test_commands_load_no_masked_arrays(tmp_path):
     codes, masked = json.loads(done.stdout.splitlines()[-1])
     assert codes == [0] * len(commands)
     assert not masked
+
+
+def test_check_at_order_1024_loads_no_random_module(tmp_path):
+    # the row derivation proves both triple laws of the order-1024
+    # construction, so `check` reports the sampled pass without drawing the
+    # sample, and never imports numpy.random
+    table = emit_tables(build_cyclic_gyrogroup(10), "csv")
+    (tmp_path / "t.csv").write_text(table, encoding="utf-8")
+    src = str(Path(gyrogroups.__file__).parents[1])
+    path_list = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_list)))
+    probe = (
+        "import json, sys\n"
+        "from gyrogroups.cli import main\n"
+        "code = main(['check', 't.csv'])\n"
+        "print(json.dumps([code, 'numpy.random' in sys.modules]))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    *printed, result = done.stdout.splitlines()
+    assert printed[-1] == "all checks passed [sampled scan]"
+    assert json.loads(result) == [0, False]
 
 
 # Runs three processes at once and prints [exit code, peak RSS in MiB] of

@@ -2,7 +2,6 @@ import functools
 import itertools
 import os
 import re
-import sys
 import threading
 import tracemalloc
 
@@ -666,31 +665,6 @@ def _planted(n, cells):
     return FiniteGyrogroup(G.cayley, gyr, perms)
 
 
-@pytest.fixture(params=[2, 8], ids=["2 cpus", "8 cpus"])
-def scan_threads(request, monkeypatch):
-    """The CPUs the sampled scans see, and the threads they start.  With 8,
-    an order-1024 scan runs eight workers, which switch as often as they
-    can."""
-    cpus = request.param
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    started = []
-
-    class CountingThread(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    monkeypatch.setattr(threading, "Thread", CountingThread)
-    interval = sys.getswitchinterval()
-    if cpus > 2:
-        sys.setswitchinterval(1e-6)
-    try:
-        yield started
-    finally:
-        sys.setswitchinterval(interval)
-    assert all(not thread.is_alive() for thread in started)
-
-
 class NoThread:
     def __init__(self, *args, **kwargs):
         raise AssertionError("the scan started a thread")
@@ -698,8 +672,8 @@ class NoThread:
 
 @pytest.fixture(params=[2, 8], ids=["2 cpus", "8 cpus"])
 def no_thread(request, monkeypatch):
-    """The CPUs the exhaustive scans see, where starting a thread fails: they
-    run in the calling thread however many CPUs there are."""
+    """The CPUs the scans see, where starting a thread fails: they run in the
+    calling thread however many CPUs there are."""
     cpus = request.param
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     monkeypatch.setattr(threading, "Thread", NoThread)
@@ -993,18 +967,21 @@ def test_verify_sampled_above_limit():
 
 @pytest.fixture
 def sample_chunks(monkeypatch):
-    """The shape of each chunk the sampled scan draws, in drawing order.
-    Every chunk, drawn from the raw stream or from one generator, comes from
-    `core._sample_draws`."""
+    """Each chunk the sampled scan draws, in drawing order: every generator
+    `np.random.default_rng` makes records what its `integers` returns."""
     chunks = []
-    sample_draws = core._sample_draws
+    default_rng = np.random.default_rng
 
-    def counting_draws(*args, **kwargs):
-        abc = sample_draws(*args, **kwargs)
-        chunks.append(abc.shape)
-        return abc
+    class Recording:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
 
-    monkeypatch.setattr(core, "_sample_draws", counting_draws)
+        def integers(self, *args, **kwargs):
+            abc = self.rng.integers(*args, **kwargs)
+            chunks.append(abc)
+            return abc
+
+    monkeypatch.setattr(np.random, "default_rng", Recording)
     return chunks
 
 
@@ -1023,10 +1000,10 @@ def test_sampled_scan_stops_once_no_witness_can_follow(sample_chunks):
     assert len(sample_chunks) == 1
 
 
-# -------------------------------------------------- sampled scan on workers
+# -------------------------------------------------------------- sampled scan
 
 
-SAMPLE = 1 << 20  # 8 chunks on one CPU, 16 on two, 25 on three, 49 on six, 64 on eight
+SAMPLE = 1 << 20  # 32 chunks
 
 
 def _broken_cayley(x, y):
@@ -1038,9 +1015,8 @@ def _broken_cayley(x, y):
     return FiniteGyrogroup(cayley, G.gyr_table, G.perm_matrix)
 
 
-# each case with the chunk of one CPU, 2^17 draws, that holds the first
-# failing draw of left gyroassociativity and of the gyrator identity; a
-# 2^17-chunk holds whole chunks of 2 and 8 CPUs
+# each case with the eighth of the sample, 2^17 draws, that holds the first
+# failing draw of left gyroassociativity and of the gyrator identity
 SAMPLED = {
     "first failure in chunk 0": (lambda: FiniteGyrogroup(build_cyclic_gyrogroup(10).cayley),
                                  (0, 0)),
@@ -1061,13 +1037,10 @@ def _sampled_case(case):
     return G, reference
 
 
-# three and six CPUs make chunks of 43,690 and 21,845 triples, so on six
-# every other chunk starts on an odd 32-bit word of the raw stream, and on
-# both the last chunk is short
-@pytest.mark.parametrize("scan_threads", [1, 2, 3, 6, 8], indirect=True,
+@pytest.mark.parametrize("no_thread", [1, 2, 3, 6, 8], indirect=True,
                          ids=["1 cpu", "2 cpus", "3 cpus", "6 cpus", "8 cpus"])
 @pytest.mark.parametrize("case", list(SAMPLED))
-def test_sampled_witnesses_match_reference(case, scan_threads):
+def test_sampled_witnesses_match_reference(case, no_thread):
     G, reference = _sampled_case(case)
     report = verify(G, sample_size=SAMPLE)
     assert report.sampled
@@ -1075,7 +1048,6 @@ def test_sampled_witnesses_match_reference(case, scan_threads):
         result = report.check(name)
         assert result.witness == (None if expected is None else expected[1])
         assert result.passed == (expected is None)
-    assert len(scan_threads) == len(os.sched_getaffinity(0)) - 1
 
 
 def _cyclic_with_swaps(N, cells):
@@ -1088,19 +1060,18 @@ def _cyclic_with_swaps(N, cells):
     return FiniteGyrogroup(cyclic_group(N), gyr, (np.arange(N), swap))
 
 
-# orders that are no power of two, where numpy's bounded draws can reject and
-# the sample comes from one generator: one worker at order 48, up to three at
-# 384; each case with the first failing draw of both laws, past the first chunk
+# orders that are no power of two, where numpy's bounded draws can reject;
+# each case with the first failing draw of both laws, past the first chunk
 UNEVEN = {
     48: (lambda: _cyclic_with_swaps(48, [(47, 47)]), 221_036),
     384: (lambda: _cyclic_with_swaps(384, [(200, b) for b in range(384)]), 109_653),
 }
 
 
-@pytest.mark.parametrize("scan_threads", [1, 2, 8], indirect=True,
+@pytest.mark.parametrize("no_thread", [1, 2, 8], indirect=True,
                          ids=["1 cpu", "2 cpus", "8 cpus"])
 @pytest.mark.parametrize("order", list(UNEVEN))
-def test_sampled_witnesses_match_reference_at_other_orders(order, scan_threads):
+def test_sampled_witnesses_match_reference_at_other_orders(order, no_thread):
     make, draw = UNEVEN[order]
     G = make()
     reference = ref_sampled_witnesses(G, core.SAMPLE_SEED, SAMPLE)
@@ -1109,65 +1080,105 @@ def test_sampled_witnesses_match_reference_at_other_orders(order, scan_threads):
     assert report.sampled
     for name, expected in zip(("left_gyroassociativity", "gyrator_identity"), reference):
         assert report.check(name).witness == expected[1]
-    assert len(scan_threads) == core._scan_workers(order) - 1
 
 
-@pytest.mark.parametrize("n", [1, 5, 10, 15])
-def test_raw_stream_draws_are_the_generators_draws(n):
-    # numpy's bounded rule never rejects on 0..2^n-1, so triples read from the
-    # raw PCG64 stream are the generator's; this fails if that rule changes
-    N = 1 << n
-    sample = np.random.default_rng(1729).integers(0, N, size=(5000, 3))
-    for start, count in [(0, 5000), (0, 1), (1, 7), (2, 100), (333, 1000), (4999, 1),
-                         (1234, 3766)]:
-        abc = core._sample_draws(N, 1729, start, count)
-        assert abc.dtype == np.min_scalar_type(-N)
-        assert (abc == sample[start:start + count]).all()
+def _zeros(N):
+    """x ⊕ y = 0: left gyroassociativity holds at every triple and the
+    gyrator identity fails at the first draw with c ≠ 0, so a sampled scan
+    draws the whole sample; no row is a permutation, so nothing is proved."""
+    return FiniteGyrogroup(np.zeros((N, N), dtype=np.int32))
 
 
-@pytest.mark.parametrize("scan_threads", [2, 8], indirect=True, ids=["2 cpus", "8 cpus"])
-def test_sampled_scan_draws_no_chunk_after_a_failing_one(scan_threads, sample_chunks):
-    # every chunk fails, so each worker stops after its first
+@pytest.mark.parametrize("chunk", [7, 4096, 21845])
+@pytest.mark.parametrize("order", [2, 32, 1024, 48, 1000])
+def test_chunked_draws_are_the_one_shot_sample(order, chunk, sample_chunks, monkeypatch):
+    # chunks of one generator, the last one short, and int32 where the
+    # one-shot sample is int64; orders that are no power of two can reject
+    monkeypatch.setattr(core, "_SAMPLE_CHUNK", chunk)
+    size = 3 * chunk + 5
+    assoc, gyrator = core._sampled_triples(_zeros(order), core.SAMPLE_SEED, size)
+    assert assoc.passed and not gyrator.passed
+    assert [len(abc) for abc in sample_chunks] == [chunk] * 3 + [5]
+    one_shot = np.random.Generator(np.random.PCG64(core.SAMPLE_SEED))
+    assert (np.concatenate(sample_chunks) == one_shot.integers(0, order, size=(size, 3))).all()
+
+
+def test_sampled_scan_draws_no_chunk_after_a_failing_one(no_thread, sample_chunks):
+    # the one law scanned (the table has left cancellation) fails in the
+    # first chunk, so no other is drawn
     G, (assoc_reference, _) = _sampled_case("first failure in chunk 0")
     assoc, _ = core._sampled_triples(G, core.SAMPLE_SEED, SAMPLE)
     assert assoc.witness == assoc_reference[1]
-    workers = len(scan_threads) + 1
-    assert workers == core._scan_workers(G.order) > 1
-    assert 1 <= len(sample_chunks) <= workers
-    assert set(sample_chunks) == {(core._SAMPLE_CHUNK // workers, 3)}
+    assert [abc.shape for abc in sample_chunks] == [(core._SAMPLE_CHUNK, 3)]
 
 
-def test_sampled_scan_error_in_a_worker_reaches_the_caller(scan_threads, monkeypatch):
-    caller = threading.current_thread()
-    worker_called = threading.Event()
-    law = core._gyroassoc_holds
+def test_passing_construction_draws_no_sample_at_order_1024(monkeypatch):
+    # the row derivation proves both laws, scanning rows 0, 1 and 512
+    # directly, so no draw can fail, and the report is the one the whole
+    # sample gives
+    def no_sample(seed):
+        raise AssertionError("the sample was drawn")
 
-    def holds(*args):
-        if threading.current_thread() is not caller:
-            worker_called.set()
-            raise MemoryError("worker failed")
-        worker_called.wait(5)  # so a worker takes a chunk before the caller ends
-        return law(*args)
+    monkeypatch.setattr(np.random, "default_rng", no_sample)
+    counted = _counting_laws(monkeypatch)
+    triple_laws = ("left_gyroassociativity", "gyrator_identity")
+    checks = tuple(core.CheckResult(name, True, note="sampled" if name in triple_laws else "")
+                   for name in CHECK_NAMES)
+    assert verify(build_cyclic_gyrogroup(10)) == core.VerificationReport(
+        checks, sampled=True, seed=core.SAMPLE_SEED, sample_size=core.SAMPLE_SIZE
+    )
+    assert sum(counted) == 3 * 1024**2
 
-    monkeypatch.setattr(core, "_gyroassoc_holds", holds)
-    with pytest.raises(MemoryError, match="worker failed"):
-        core._sampled_triples(build_cyclic_gyrogroup(10), core.SAMPLE_SEED, SAMPLE)
+
+def test_z2_power_is_proved_at_its_budget_of_direct_rows(monkeypatch, sample_chunks):
+    # each row scanned directly doubles the rows derived: rows 0, 1, 2, 4, 8
+    # and 16, 6 = (32).bit_length(), each of 32² triples
+    table = cyclic_group(2)
+    for _ in range(4):
+        table = direct_product(table, cyclic_group(2))
+    counted = _counting_laws(monkeypatch)
+    report = verify(FiniteGyrogroup.from_group(table), exhaustive_limit=16)
+    assert report.passed and report.sampled
+    assert counted == [32**2] * 6
+    assert not sample_chunks
 
 
-@pytest.mark.parametrize("scan_threads", [2, 4, 8], indirect=True,
+def test_a_budget_below_the_rows_needed_runs_the_sample(monkeypatch, sample_chunks):
+    # the order-32 construction needs rows 0, 1 and 16 scanned directly, so
+    # with two it is left to the sample, which reports the same; on the
+    # construction without its gyrations both give the pinned witnesses
+    first_violation = _rows.first_violation
+    reports = {}
+    for budget in ("bit length", 2):
+        if budget == 2:
+            monkeypatch.setattr(_rows, "first_violation", lambda G, _: first_violation(G, 2))
+        for table in ("passing", "suppressed"):
+            G = build_cyclic_gyrogroup(5)
+            G = G if table == "passing" else FiniteGyrogroup(G.cayley)
+            sample_chunks.clear()
+            reports[budget, table] = verify(G, exhaustive_limit=16, sample_size=10_000)
+            assert bool(sample_chunks) == (table == "suppressed" or budget == 2)
+    assert reports["bit length", "passing"] == reports[2, "passing"]
+    assert reports["bit length", "passing"].passed
+    assert reports["bit length", "suppressed"] == reports[2, "suppressed"]
+    assert reports[2, "suppressed"].check("left_gyroassociativity").witness == (5, 22, 9)
+
+
+@pytest.mark.parametrize("no_thread", [2, 4, 8], indirect=True,
                          ids=["2 cpus", "4 cpus", "8 cpus"])
-def test_sampled_scan_peak_memory_at_order_1024(scan_threads):
-    # the triples in flight stay one _SAMPLE_CHUNK whatever the worker count,
-    # each worker's drawn from the raw stream on its own; a _SAMPLE_CHUNK per
-    # worker would not
-    G = build_cyclic_gyrogroup(10)
+def test_sampled_scan_peak_memory_at_order_1024(no_thread):
+    # the whole sample is drawn one _SAMPLE_CHUNK at a time in the calling
+    # thread, whatever the CPUs; the table's facts are computed first
+    G = _zeros(1024)
+    assert not core._proved_everywhere(G) and G.left_inverse_map() is not None
     tracemalloc.start()
     try:
-        assert all(r.passed for r in core._sampled_triples(G, core.SAMPLE_SEED, SAMPLE))
+        assoc, gyrator = core._sampled_triples(G, core.SAMPLE_SEED, SAMPLE)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 12.5e6
+    assert assoc.passed and not gyrator.passed
+    assert peak <= 6.0e6
 
 
 # ------------------------------------------------------------- derived laws

@@ -193,6 +193,22 @@ def test_load_strict_rejects_latin_violation(g3):
         assert witness_confirms(G, result)
 
 
+def test_strict_load_builds_no_group_for_its_latin_checks(g3, monkeypatch):
+    # the latin checks read the Cayley rows and columns themselves, so the
+    # one instance built is the one returned, which adopts its tables
+    doc = emit_tables(g3, "csv")
+    bad = doc.replace("4,7,6,5,0,3,2,1", "4,7,6,5,0,3,2,2")
+    error = load_outcome(ref_load_tables, bad, True)
+    assert error[0] is TableFormatError
+
+    def no_instance(*args, **kwargs):
+        raise AssertionError("an instance was built for the latin checks")
+
+    monkeypatch.setattr(FiniteGyrogroup, "__init__", no_instance)
+    assert np.array_equal(load_tables(doc).cayley, g3.cayley)
+    assert load_outcome(load_tables, bad, True) == error
+
+
 def test_load_normalizes_identity_position():
     # cyclic group of order 3 relabeled so that the identity sits at index 2
     sigma = np.array([2, 1, 0])

@@ -73,6 +73,11 @@ def test_unit_axioms_match_reference():
             assert found == expected
 
 
+def test_group_invariants_reject_a_table_that_is_no_group():
+    with pytest.raises(ValueError, match=r"^not a group table: inverse fails at \(1,\)$"):
+        group_invariants(np.array([[0, 1], [1, 1]]))
+
+
 def test_element_orders_stop_when_powers_cycle():
     # 1 * 1 = 1, so the powers of 1 never reach 0
     assert element_orders(np.array([[0, 1], [1, 1]])) == [1, 0]
