@@ -467,6 +467,12 @@ def _assert_derivation_matches_reference(G):
     assert gyrator.witness == ref_gyrator_witness(G)
     if core._left_cancellation_holds(G):
         assert scans == ["first_violation"] and gyrator.witness == assoc.witness
+    # the proof that lets a sampled `verify` draw nothing holds only where
+    # both laws do, and never misses a gyrogroup
+    proved = core._proved_everywhere(G)
+    assert not proved or (assoc.passed and gyrator.passed)
+    gyrogroup = all(c.passed for c in report.checks if c.name != "gyrocommutativity")
+    assert proved or not gyrogroup
 
 
 def _conjugations(table):
@@ -1141,6 +1147,19 @@ def test_z2_power_is_proved_at_its_budget_of_direct_rows(monkeypatch, sample_chu
     assert report.passed and report.sampled
     assert counted == [32**2] * 6
     assert not sample_chunks
+
+
+def test_gyrogroups_are_proved_within_their_budget():
+    # each row scanned directly at least doubles the subgyrogroup of derived
+    # rows (Lagrange), so N.bit_length() rows suffice at any order
+    tables = [build_cyclic_gyrogroup(n) for n in range(3, 9)]
+    z2e6 = cyclic_group(2)
+    for _ in range(5):
+        z2e6 = direct_product(z2e6, cyclic_group(2))
+    for table in (cyclic_group(48), cyclic_group(97), dihedral_group(12), z2e6):
+        tables.append(FiniteGyrogroup.from_group(table))
+    for G in tables:
+        assert core._proved_everywhere(G), G
 
 
 def test_a_budget_below_the_rows_needed_runs_the_sample(monkeypatch, sample_chunks):
