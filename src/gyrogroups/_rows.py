@@ -1,8 +1,8 @@
 """Left gyroassociativity decided a whole row at a time, most rows derived
 from two passing rows by the identity that the `gyrogroups.core` docstring
-proves.  `core.check_left_gyroassociativity` and `core._proved_everywhere`
-run it on tables whose rows are permutations and whose referenced gyrations
-are automorphisms, and import it only then."""
+proves.  `core._derived_violation` runs it, with its budget of rows scanned
+directly, on tables whose rows are permutations and whose referenced
+gyrations are automorphisms, and imports it only then."""
 
 from __future__ import annotations
 
@@ -57,7 +57,7 @@ def _failures(
     return failing
 
 
-def first_violation(G: FiniteGyrogroup, budget: int | None = None) -> tuple[int, ...] | None:
+def first_violation(G: FiniteGyrogroup, budget: int) -> tuple[int, ...] | None:
     """Smallest (a, b, c) where left gyroassociativity fails, deciding whole
     rows, for tables whose rows are permutations and whose referenced
     gyrations are automorphisms.
@@ -66,9 +66,9 @@ def first_violation(G: FiniteGyrogroup, budget: int | None = None) -> tuple[int,
     passing rows a1 and a2 is derived, in rounds; then the smallest undecided
     row is scanned, and so on, until no row below the smallest failing one is
     undecided.  The smallest failing b of a derived row comes from the
-    identity, and its smallest c from `_row_violation`.  With a ``budget``,
-    at most that many rows are scanned directly, and ``()`` stands for the
-    law left undecided once they are spent.
+    identity, and its smallest c from `_row_violation`.  At most ``budget``
+    rows are scanned directly; ``()`` stands for the law left undecided once
+    they are spent.
     """
     N = G.order
     C = G.cayley.astype(np.min_scalar_type(N - 1))

@@ -5,10 +5,10 @@ convention.  A gyrogroup is carried entirely by two tables: the Cayley table
 of the binary operation and, for every ordered pair, an index into a
 deduplicated list of permutations (the gyrations).  All checks below report
 pass/fail with the lexicographically smallest witness, so reports are
-deterministic regardless of how the scan is partitioned.  (Sampled scans,
-used above EXHAUSTIVE_LIMIT, instead report the first witness in the seeded
-sample order and carry a "sampled" note; they draw nothing where the row
-derivation below proves every triple.)
+deterministic regardless of how the scan is partitioned.  (Above
+EXHAUSTIVE_LIMIT, a triple law that the row derivation below leaves undecided
+is checked on a seeded sample instead, and reports the first failing draw
+with a "sampled" note.)
 
 One triple scan serves both triple laws when the table has left cancellation,
 ⊖x ⊕ (x ⊕ y) = y for all x, y (an O(N²) test).  Then L_{⊖z} inverts the left
@@ -68,8 +68,8 @@ __all__ = [
     "verify",
 ]
 
-# Full triple scans run up to this order; beyond it `verify` switches to a
-# seeded pseudo-random sample so the report stays reproducible at any size.
+# Above this order `verify` checks a triple law that the row derivation leaves
+# undecided on a seeded pseudo-random sample, not on every triple.
 EXHAUSTIVE_LIMIT = 512
 SAMPLE_SIZE = 10_000_000
 SAMPLE_SEED = 1729
@@ -352,9 +352,15 @@ class FiniteGyrogroup:
     def left_inverse_map(self) -> np.ndarray:
         """For each x the smallest b with b ⊕ x = 0, or -1 when none exists."""
         if self._inverse_map is None:
-            zero = self._cayley == 0
-            # the first row holding 0 in each column
-            inv = np.where(zero.any(axis=0), np.argmax(zero, axis=0), -1).astype(np.int64)
+            N = self.order
+            inv = np.full(N, -1, dtype=np.int64)
+            columns = np.arange(N)
+            for rows in _pair_blocks(N):
+                zero = self._cayley[rows] == 0
+                # the block's first row holding 0 in each column still open
+                first = zero.argmax(axis=0)
+                new = zero[first, columns] & (inv < 0)
+                inv[new] = rows.start + first[new]
             inv.setflags(write=False)
             self._inverse_map = inv
         return self._inverse_map
@@ -683,19 +689,34 @@ def _first_gyrator_violation(G: FiniteGyrogroup, inv: np.ndarray) -> tuple[int, 
     )
 
 
+@_per_group
+def _derived_violation(G: FiniteGyrogroup) -> tuple[int, ...] | None:
+    """Smallest (a, b, c) where left gyroassociativity fails, or None where it
+    holds, as the row derivation decides it (`_rows.first_violation`, see the
+    module docstring) with at most ``N.bit_length()`` rows scanned directly;
+    ``()`` where it cannot decide: a Cayley row is no permutation, a
+    referenced gyration is no automorphism, or the budget is spent.
+
+    A gyrogroup needs no more rows: its passing rows, closed under ⊕ by the
+    derivation, are a subgyrogroup, whose order divides N (Lagrange), so each
+    row scanned outside them at least doubles them.
+    """
+    if not (check_left_translations(G).passed and check_gyr_automorphisms(G).passed):
+        return ()
+    # compiled only by the commands that run this scan
+    from . import _rows
+
+    return _rows.first_violation(G, G.order.bit_length())
+
+
 def check_left_gyroassociativity(G: FiniteGyrogroup) -> CheckResult:
     """a ⊕ (b ⊕ c) = (a ⊕ b) ⊕ gyr[a,b]c over all triples; witness (a, b, c).
 
-    Where every Cayley row is a permutation and every referenced gyration is
-    an automorphism, whole rows are derived from passing rows (see the module
-    docstring), and only the rest are scanned; otherwise every triple is.
+    The row derivation's answer where it decides (`_derived_violation`);
+    otherwise every triple is scanned.
     """
-    if check_left_translations(G).passed and check_gyr_automorphisms(G).passed:
-        # compiled only by the commands that run this scan
-        from . import _rows
-
-        bad = _rows.first_violation(G)
-    else:
+    bad = _derived_violation(G)
+    if bad == ():
         bad = _first_gyroassoc_violation(G)
     return CheckResult("left_gyroassociativity", bad is None, bad)
 
@@ -715,13 +736,9 @@ def check_gyrator_identity(G: FiniteGyrogroup) -> CheckResult:
     """Stored gyrations match ⊖(a⊕b) ⊕ (a ⊕ (b⊕c)); witness (a, b, c).
 
     Fails outright (witness (x,)) when some element has no left inverse,
-    since the formula is then undefined.  When left cancellation holds, the
-    left gyroassociativity scan decides it, with the same witness:
-
-        ⊖z ⊕ (z ⊕ y) = y for all z, y makes L_{⊖z} the inverse of L_z, so
-        with z = a⊕b: z ⊕ gyr[a,b]c = a⊕(b⊕c)  ⟺  gyr[a,b]c = ⊖z ⊕ (a⊕(b⊕c)).
-
-    Otherwise the identity gets a row scan of its own.
+    since the formula is then undefined.  When left cancellation holds, it
+    has the left gyroassociativity result (see the module docstring);
+    otherwise the identity gets a scan of its own.
     """
     return _gyrator_identity(G, None)
 
@@ -753,73 +770,40 @@ def check_gyrocommutative(G: FiniteGyrogroup) -> CheckResult:
     return CheckResult("gyrocommutativity", True)
 
 
-def _proved_everywhere(G: FiniteGyrogroup) -> bool:
-    """Whether both triple laws hold on every triple, as the row derivation
-    proves with at most ``N.bit_length()`` rows scanned directly, where every
-    Cayley row is a permutation, every referenced gyration an automorphism
-    and left cancellation holds (so the gyrator identity has the same answer).
-
-    A gyrogroup needs no more rows: its passing rows, closed under ⊕ by the
-    derivation, are a subgyrogroup, whose order divides N (Lagrange), so each
-    row scanned outside them at least doubles them.  Any other table that
-    needs more is left to the sample.
-    """
-    if not (check_left_translations(G).passed and check_gyr_automorphisms(G).passed
-            and _left_cancellation_holds(G)):
-        return False
-    from . import _rows
-
-    return _rows.first_violation(G, G.order.bit_length()) is None
-
-
 def _sampled_triples(
-    G: FiniteGyrogroup, seed: int, sample_size: int
-) -> tuple[CheckResult, CheckResult]:
-    """Seeded-sample versions of the two triple checks for large orders.
+    G: FiniteGyrogroup, seed: int, sample_size: int, names: list[str]
+) -> dict[str, CheckResult]:
+    """The triple checks ``names`` on a seeded sample, each with its first
+    failing draw as its witness and the note "sampled".
 
     The sample is ``default_rng(seed).integers(0, N, size=(sample_size, 3))``,
     drawn from that one generator _SAMPLE_CHUNK triples at a time, which
-    gives the same triples.  A law's witness is its first failing draw, and
-    no chunk is drawn once every law has failed.  Where both laws are proved
-    on every triple (`_proved_everywhere`), no draw can fail, and none is
-    made.
+    gives the same triples; no chunk is drawn once every check has failed.
     """
     N = G.order
     inv = G.left_inverse_map()
-    # otherwise the gyrator identity is undefined, or the associativity
-    # witness decides it (see the module docstring)
-    scan_gyrator = bool((inv >= 0).all()) and not _left_cancellation_holds(G)
-    witness: list[tuple[int, ...] | None] = [None] * (1 + scan_gyrator)
-
-    if not _proved_everywhere(G):
-        C = _FlatTable(G.cayley.astype(np.min_scalar_type(N - 1)))
-        P = _FlatTable(G.perm_matrix)
-        Gy = G.gyr_table.ravel()
-        laws = [lambda ab, a_bc, gyr_c: _gyroassoc_holds(C, ab, a_bc, gyr_c)]
-        if scan_gyrator:
-            laws.append(lambda ab, a_bc, gyr_c: _gyrator_holds(C, inv, ab, a_bc, gyr_c))
-        rng = np.random.default_rng(seed)
-        for start in range(0, sample_size, _SAMPLE_CHUNK):
-            # int32 draws are the int64 ones, in half the memory
-            abc = rng.integers(0, N, size=(min(_SAMPLE_CHUNK, sample_size - start), 3),
-                               dtype=np.int32)
-            a, b, c = abc.T
-            ab_cell = C.cell(a, b)
-            terms = np.take(C.flat, ab_cell), C[a, C[b, c]], P[np.take(Gy, ab_cell), c]
-            for law, holds in enumerate(laws):
-                if witness[law] is None:
-                    bad = np.flatnonzero(~holds(*terms))
-                    if bad.size:
-                        witness[law] = tuple(int(v) for v in abc[bad[0]])
-            if None not in witness:
-                break
-
-    note = "sampled"
-    assoc = CheckResult("left_gyroassociativity", witness[0] is None, witness[0], note=note)
-    if not scan_gyrator:
-        return assoc, _gyrator_identity(G, assoc)
-    gyrator = CheckResult("gyrator_identity", witness[1] is None, witness[1], note=note)
-    return assoc, gyrator
+    C = _FlatTable(G.cayley.astype(np.min_scalar_type(N - 1)))
+    P = _FlatTable(G.perm_matrix)
+    Gy = G.gyr_table.ravel()
+    laws = {"left_gyroassociativity": lambda *terms: _gyroassoc_holds(C, *terms),
+            "gyrator_identity": lambda *terms: _gyrator_holds(C, inv, *terms)}
+    witness = dict.fromkeys(names)
+    rng = np.random.default_rng(seed)
+    for start in range(0, sample_size, _SAMPLE_CHUNK):
+        # int32 draws are the int64 ones, in half the memory
+        abc = rng.integers(0, N, size=(min(_SAMPLE_CHUNK, sample_size - start), 3),
+                           dtype=np.int32)
+        a, b, c = abc.T
+        ab_cell = C.cell(a, b)
+        terms = np.take(C.flat, ab_cell), C[a, C[b, c]], P[np.take(Gy, ab_cell), c]
+        for name in names:
+            if witness[name] is None:
+                bad = np.flatnonzero(~laws[name](*terms))
+                if bad.size:
+                    witness[name] = tuple(int(v) for v in abc[bad[0]])
+        if None not in witness.values():
+            break
+    return {name: CheckResult(name, w is None, w, note="sampled") for name, w in witness.items()}
 
 
 _PAIR_CHECKS: tuple[Callable[[FiniteGyrogroup], CheckResult], ...] = (
@@ -852,17 +836,25 @@ def verify(
 ) -> VerificationReport:
     """Run every check and aggregate the results; nothing short-circuits.
 
-    Orders above ``exhaustive_limit`` replace the full triple scans with
-    ``sample_size`` seeded pseudo-random triples and label the report sampled.
-    One triple scan serves both triple laws when left cancellation holds.
+    The triple laws take the row derivation's answer where it decides, at
+    every order.  A law it leaves undecided has every pair scanned, or, at
+    orders above ``exhaustive_limit``, is checked on ``sample_size`` seeded
+    pseudo-random triples, its result noted "sampled"; such orders label the
+    report sampled.  One answer serves both triple laws when left
+    cancellation holds.
     """
     results = [check(G) for check in _PAIR_CHECKS]
     sampled = G.order > exhaustive_limit
-    if sampled:
-        assoc, gyrator = _sampled_triples(G, seed, sample_size)
-    else:
-        assoc = check_left_gyroassociativity(G)
-        gyrator = _gyrator_identity(G, assoc)
+    undecided = []  # the triple laws left to the sample
+    if sampled and _derived_violation(G) == ():
+        undecided.append("left_gyroassociativity")
+    # the gyrator identity has the associativity result under left
+    # cancellation, and is undefined without left inverses
+    if sampled and (G.left_inverse_map() >= 0).all() and not _left_cancellation_holds(G):
+        undecided.append("gyrator_identity")
+    drawn = _sampled_triples(G, seed, sample_size, undecided) if undecided else {}
+    assoc = drawn.get("left_gyroassociativity") or check_left_gyroassociativity(G)
+    gyrator = drawn.get("gyrator_identity") or _gyrator_identity(G, assoc)
     results += [assoc, check_loop_property(G), gyrator, check_gyrocommutative(G)]
     return VerificationReport(
         checks=tuple(results),

@@ -410,13 +410,15 @@ def test_verify_scans_the_triples_once_with_left_cancellation(monkeypatch):
     # the other rows derived from them; the gyrator identity adds none
     assert counted == [32 * 32] * 3
     # x ⊕ y = y holds the law at every triple, but no row is x ⊕ y for two
-    # other rows, so every row is scanned, and the gyrator identity is undefined
+    # other rows, so no row is derived, and the gyrator identity is undefined
     counted.clear()
     right_zero = FiniteGyrogroup(np.tile(np.arange(32), (32, 1)))
     report = verify(right_zero)
     assert report.check("left_gyroassociativity").passed
     assert report.check("gyrator_identity").witness == (1,)
-    assert sum(counted) == 32**3
+    # the derivation spends its budget of six direct rows, then every pair
+    # is scanned
+    assert sum(counted) == 6 * 32**2 + 32**3
 
 
 def test_verify_sorts_the_cayley_rows_once(monkeypatch):
@@ -437,10 +439,12 @@ def test_verify_sorts_the_cayley_rows_once(monkeypatch):
 
 
 def _scans(monkeypatch):
-    """The names of the triple scans run, as a list."""
+    """The names of the triple scans run, as a list: the row derivation
+    (``first_violation``), the scans of every pair and the sample
+    (``_sampled_triples``)."""
     ran = []
     for module, name in ((_rows, "first_violation"), (core, "_first_gyroassoc_violation"),
-                         (core, "_first_gyrator_violation")):
+                         (core, "_first_gyrator_violation"), (core, "_sampled_triples")):
         scan = getattr(module, name)
 
         def spy(*args, scan=scan, name=name):
@@ -452,27 +456,43 @@ def _scans(monkeypatch):
 
 
 def _assert_derivation_matches_reference(G):
-    """`verify` derives the rows of G and gives the reference witnesses; with
-    left cancellation the gyrator identity reuses the associativity result
-    and scans nothing."""
+    """`verify` derives the rows of G and gives the reference witnesses, the
+    scan of every pair running only where the derivation spends its budget;
+    with left cancellation the gyrator identity reuses the associativity
+    result.  Above a lowered limit, a law the derivation decides has the
+    reference witness, and only the laws it leaves undecided are sampled."""
     with pytest.MonkeyPatch.context() as patch:
         scans = _scans(patch)
         report = verify(G)
     assert scans[0] == "first_violation"
+    derived = core._derived_violation(G)  # kept on G by the run above
+    assert derived in ((), ref_gyroassoc_witness(G))
+    assert ("_first_gyroassoc_violation" in scans) == (derived == ())
     assoc = report.check("left_gyroassociativity")
     assert assoc.witness == ref_gyroassoc_witness(G)
     if not assoc.passed:
         assert witness_confirms(G, assoc)
     gyrator = report.check("gyrator_identity")
     assert gyrator.witness == ref_gyrator_witness(G)
-    if core._left_cancellation_holds(G):
-        assert scans == ["first_violation"] and gyrator.witness == assoc.witness
-    # the proof that lets a sampled `verify` draw nothing holds only where
-    # both laws do, and never misses a gyrogroup
-    proved = core._proved_everywhere(G)
-    assert not proved or (assoc.passed and gyrator.passed)
+    cancels = core._left_cancellation_holds(G)
+    if cancels:
+        assert "_first_gyrator_violation" not in scans and gyrator.witness == assoc.witness
+    # the derivation never leaves a gyrogroup undecided
     gyrogroup = all(c.passed for c in report.checks if c.name != "gyrocommutativity")
-    assert proved or not gyrogroup
+    assert derived is None or not gyrogroup
+    with pytest.MonkeyPatch.context() as patch:
+        scans = _scans(patch)
+        report = verify(G, exhaustive_limit=G.order - 1, sample_size=1000)
+    assert report.sampled
+    own_gyrator = (G.left_inverse_map() >= 0).all() and not cancels
+    assert ("_sampled_triples" in scans) == (derived == () or own_gyrator)
+    assert "_first_gyroassoc_violation" not in scans and "_first_gyrator_violation" not in scans
+    assoc, gyrator = report.check("left_gyroassociativity"), report.check("gyrator_identity")
+    assert assoc.note == ("sampled" if derived == () else "")
+    if derived != ():
+        assert assoc.witness == ref_gyroassoc_witness(G)
+        if cancels:
+            assert gyrator.witness == ref_gyrator_witness(G) and not gyrator.note
 
 
 def _conjugations(table):
@@ -525,14 +545,20 @@ def test_class_scan_matches_reference_on_dihedral_conjugations(sides):
 
 @st.composite
 def derivation_tables(draw):
-    """Tables whose rows are derived: Z_n with gyrations x ↦ ux for units
-    u, D_m with conjugations, or a small construction with its two
-    gyrations; each pair gets the identity, or now and then another one."""
-    kind = draw(st.sampled_from(["cyclic", "dihedral", "construction"]))
+    """Tables that pass the derivation's gate: Z_n with gyrations x ↦ ux for
+    units u, D_m with conjugations, a small construction with its two
+    gyrations, or x ⊕ y = y with cyclic shifts, whose rows are never
+    derived, so that its budget can run out; each pair gets the identity,
+    or now and then another one."""
+    kind = draw(st.sampled_from(["cyclic", "dihedral", "construction", "right zero"]))
     if kind == "cyclic":
         n = draw(st.integers(2, 16))
         table = cyclic_group(n)
         autos = [(u * np.arange(n)) % n for u in range(1, n) if np.gcd(u, n) == 1]
+    elif kind == "right zero":
+        n = draw(st.integers(2, 16))
+        table = np.tile(np.arange(n), (n, 1))
+        autos = [np.roll(np.arange(n), s) for s in range(1, n)]
     elif kind == "dihedral":
         table = dihedral_group(draw(st.integers(3, 7)))
         autos = _conjugations(table)
@@ -592,13 +618,16 @@ def test_derivation_needs_bijective_rows_and_automorphic_gyrations(monkeypatch):
     # row 1 of Z_4 repeats an entry, so it is no permutation
     repeat = cyclic_group(4)
     repeat[1, 0] = repeat[1, 1]
-    # x ⊕ y = y lacks left cancellation, but its rows are permutations
     right_zero = np.tile(np.arange(4), (4, 1))
-    for table, scan in ((swap, "_first_gyroassoc_violation"),
-                        (FiniteGyrogroup(repeat), "_first_gyroassoc_violation"),
-                        (FiniteGyrogroup(right_zero), "first_violation")):
+    # x ⊕ y = y lacks left cancellation; its rows are permutations, but
+    # none is derived, so the derivation spends its budget of three rows
+    # and every pair is scanned
+    for table, ran in ((swap, ["_first_gyroassoc_violation"]),
+                       (FiniteGyrogroup(repeat), ["_first_gyroassoc_violation"]),
+                       (FiniteGyrogroup(right_zero),
+                        ["first_violation", "_first_gyroassoc_violation"])):
         result = check_left_gyroassociativity(table)
-        assert scans == [scan]
+        assert scans == ran
         scans.clear()
         assert result.witness == ref_gyroassoc_witness(table)
 
@@ -884,7 +913,7 @@ def test_derivation_peak_memory_at_order_512(monkeypatch):
         assert peak <= 2.5e6
 
 
-@pytest.mark.parametrize("scan", [core._first_gyroassoc_violation, _rows.first_violation],
+@pytest.mark.parametrize("scan", [core._first_gyroassoc_violation, core._derived_violation],
                          ids=["all pairs", "derivation"])
 def test_witness_in_row_0_is_found_in_the_first_rows(scan, no_thread, monkeypatch):
     # row 0 goes first, so a witness in row 0 and a late column ends the
@@ -964,10 +993,13 @@ def test_verify_sampled_above_limit():
     report = verify(G, sample_size=100_000)
     assert report.passed
     assert report.sampled and report.seed is not None and report.sample_size == 100_000
+    assert all(not c.note for c in report.checks)
+    # without its gyrations the construction passes the derivation's gate,
+    # which gives the smallest witness, and nothing is drawn
     suppressed = FiniteGyrogroup(G.cayley)
     report = verify(suppressed, sample_size=100_000)
     result = report.check("left_gyroassociativity")
-    assert report.sampled and not result.passed and result.note == "sampled"
+    assert report.sampled and result.witness == (1, 512, 1) and not result.note
     assert witness_confirms(suppressed, result)
 
 
@@ -1010,6 +1042,7 @@ def test_sampled_scan_stops_once_no_witness_can_follow(sample_chunks):
 
 
 SAMPLE = 1 << 20  # 32 chunks
+TRIPLE_LAWS = ["left_gyroassociativity", "gyrator_identity"]
 
 
 def _broken_cayley(x, y):
@@ -1021,11 +1054,22 @@ def _broken_cayley(x, y):
     return FiniteGyrogroup(cayley, G.gyr_table, G.perm_matrix)
 
 
+def _suppressed_with_a_swap():
+    """The order-1024 construction without its gyrations, but for gyr[1023,
+    1023], the swap of 1 and 2: no automorphism, so the row derivation leaves
+    the table to the sample."""
+    G = build_cyclic_gyrogroup(10)
+    swap = np.arange(G.order)
+    swap[[1, 2]] = [2, 1]
+    gyr = np.zeros((G.order, G.order), dtype=int)
+    gyr[-1, -1] = 1
+    return FiniteGyrogroup(G.cayley, gyr, (np.arange(G.order), swap))
+
+
 # each case with the eighth of the sample, 2^17 draws, that holds the first
 # failing draw of left gyroassociativity and of the gyrator identity
 SAMPLED = {
-    "first failure in chunk 0": (lambda: FiniteGyrogroup(build_cyclic_gyrogroup(10).cayley),
-                                 (0, 0)),
+    "first failure in chunk 0": (_suppressed_with_a_swap, (0, 0)),
     # draw 1,000,000 is (517, 436, 15)
     "first failure in the last chunk": (lambda: _planted(10, [(517, 436, 15)]), (7, 7)),
     "gyrator fails a chunk before gyroassociativity": (lambda: _broken_cayley(7, 100), (2, 0)),
@@ -1102,38 +1146,50 @@ def test_chunked_draws_are_the_one_shot_sample(order, chunk, sample_chunks, monk
     # one-shot sample is int64; orders that are no power of two can reject
     monkeypatch.setattr(core, "_SAMPLE_CHUNK", chunk)
     size = 3 * chunk + 5
-    assoc, gyrator = core._sampled_triples(_zeros(order), core.SAMPLE_SEED, size)
-    assert assoc.passed and not gyrator.passed
+    drawn = core._sampled_triples(_zeros(order), core.SAMPLE_SEED, size, TRIPLE_LAWS)
+    assert drawn["left_gyroassociativity"].passed and not drawn["gyrator_identity"].passed
     assert [len(abc) for abc in sample_chunks] == [chunk] * 3 + [5]
     one_shot = np.random.Generator(np.random.PCG64(core.SAMPLE_SEED))
     assert (np.concatenate(sample_chunks) == one_shot.integers(0, order, size=(size, 3))).all()
 
 
 def test_sampled_scan_draws_no_chunk_after_a_failing_one(no_thread, sample_chunks):
-    # the one law scanned (the table has left cancellation) fails in the
+    # the one law drawn (the table has left cancellation) fails in the
     # first chunk, so no other is drawn
     G, (assoc_reference, _) = _sampled_case("first failure in chunk 0")
-    assoc, _ = core._sampled_triples(G, core.SAMPLE_SEED, SAMPLE)
-    assert assoc.witness == assoc_reference[1]
+    report = verify(G, sample_size=SAMPLE)
+    assert report.check("left_gyroassociativity").witness == assoc_reference[1]
     assert [abc.shape for abc in sample_chunks] == [(core._SAMPLE_CHUNK, 3)]
 
 
 def test_passing_construction_draws_no_sample_at_order_1024(monkeypatch):
     # the row derivation proves both laws, scanning rows 0, 1 and 512
-    # directly, so no draw can fail, and the report is the one the whole
-    # sample gives
+    # directly, so nothing is drawn, and the triple laws carry no note
     def no_sample(seed):
         raise AssertionError("the sample was drawn")
 
     monkeypatch.setattr(np.random, "default_rng", no_sample)
     counted = _counting_laws(monkeypatch)
-    triple_laws = ("left_gyroassociativity", "gyrator_identity")
-    checks = tuple(core.CheckResult(name, True, note="sampled" if name in triple_laws else "")
-                   for name in CHECK_NAMES)
+    checks = tuple(core.CheckResult(name, True) for name in CHECK_NAMES)
     assert verify(build_cyclic_gyrogroup(10)) == core.VerificationReport(
         checks, sampled=True, seed=core.SAMPLE_SEED, sample_size=core.SAMPLE_SIZE
     )
     assert sum(counted) == 3 * 1024**2
+
+
+def test_derived_witness_above_the_limit_draws_no_sample(sample_chunks):
+    # the failing triples of the flipped order-512 table, (511, 0, c) for odd
+    # c, are 2^-19 of all triples, so a sample of 100,000 draws misses them;
+    # the row derivation decides both laws with the smallest witness
+    G = build_cyclic_gyrogroup(9)
+    gyr = np.array(G.gyr_table)
+    gyr[511, 0] ^= 1
+    report = verify(FiniteGyrogroup(G.cayley, gyr, G.perm_matrix), exhaustive_limit=256,
+                    sample_size=100_000)
+    assert report.sampled
+    for name in ("left_gyroassociativity", "gyrator_identity"):
+        assert report.check(name) == core.CheckResult(name, False, (511, 0, 1))
+    assert not sample_chunks
 
 
 def test_z2_power_is_proved_at_its_budget_of_direct_rows(monkeypatch, sample_chunks):
@@ -1159,13 +1215,17 @@ def test_gyrogroups_are_proved_within_their_budget():
     for table in (cyclic_group(48), cyclic_group(97), dihedral_group(12), z2e6):
         tables.append(FiniteGyrogroup.from_group(table))
     for G in tables:
-        assert core._proved_everywhere(G), G
+        assert core._derived_violation(G) is None, G
 
 
 def test_a_budget_below_the_rows_needed_runs_the_sample(monkeypatch, sample_chunks):
     # the order-32 construction needs rows 0, 1 and 16 scanned directly, so
-    # with two it is left to the sample, which reports the same; on the
-    # construction without its gyrations both give the pinned witnesses
+    # with two it is left to the sample, which reports the same outcomes,
+    # noted "sampled"; without its gyrations, row 1, the second scanned,
+    # fails, so both budgets give the derived witness and draw nothing
+    def outcomes(report):
+        return [(c.name, c.passed, c.witness) for c in report.checks]
+
     first_violation = _rows.first_violation
     reports = {}
     for budget in ("bit length", 2):
@@ -1176,11 +1236,13 @@ def test_a_budget_below_the_rows_needed_runs_the_sample(monkeypatch, sample_chun
             G = G if table == "passing" else FiniteGyrogroup(G.cayley)
             sample_chunks.clear()
             reports[budget, table] = verify(G, exhaustive_limit=16, sample_size=10_000)
-            assert bool(sample_chunks) == (table == "suppressed" or budget == 2)
-    assert reports["bit length", "passing"] == reports[2, "passing"]
+            assert bool(sample_chunks) == (table == "passing" and budget == 2)
+    assert outcomes(reports["bit length", "passing"]) == outcomes(reports[2, "passing"])
     assert reports["bit length", "passing"].passed
+    assert reports[2, "passing"].check("left_gyroassociativity").note == "sampled"
     assert reports["bit length", "suppressed"] == reports[2, "suppressed"]
-    assert reports[2, "suppressed"].check("left_gyroassociativity").witness == (5, 22, 9)
+    assoc = reports[2, "suppressed"].check("left_gyroassociativity")
+    assert assoc.witness == (1, 16, 1) and not assoc.note
 
 
 @pytest.mark.parametrize("no_thread", [2, 4, 8], indirect=True,
@@ -1189,14 +1251,14 @@ def test_sampled_scan_peak_memory_at_order_1024(no_thread):
     # the whole sample is drawn one _SAMPLE_CHUNK at a time in the calling
     # thread, whatever the CPUs; the table's facts are computed first
     G = _zeros(1024)
-    assert not core._proved_everywhere(G) and G.left_inverse_map() is not None
+    assert core._derived_violation(G) == () and G.left_inverse_map() is not None
     tracemalloc.start()
     try:
-        assoc, gyrator = core._sampled_triples(G, core.SAMPLE_SEED, SAMPLE)
+        drawn = core._sampled_triples(G, core.SAMPLE_SEED, SAMPLE, TRIPLE_LAWS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert assoc.passed and not gyrator.passed
+    assert drawn["left_gyroassociativity"].passed and not drawn["gyrator_identity"].passed
     assert peak <= 6.0e6
 
 
