@@ -5,7 +5,7 @@ convention.  A gyrogroup is carried entirely by two tables: the Cayley table
 of the binary operation and, for every ordered pair, an index into a
 deduplicated list of permutations (the gyrations).  All checks below report
 pass/fail with the lexicographically smallest witness, so reports are
-deterministic regardless of how the scan is partitioned.  (Above
+deterministic whether a triple law is derived or scanned.  (Above
 EXHAUSTIVE_LIMIT, a triple law that the row derivation below leaves undecided
 is checked on a seeded sample instead, and reports the first failing draw
 with a "sampled" note.)
@@ -77,12 +77,10 @@ SAMPLE_SEED = 1729
 _GYRATION_LIMIT = 1 << 16
 # The triples a sampled scan draws at once.
 _SAMPLE_CHUNK = 1 << 15
-# The cells (a ⊕ (b ⊕ c) for one pair and one c) an exhaustive triple scan
-# holds at once: it takes the rows in blocks of _BLOCK_CELLS // N, one b at a
-# time.  Every other pass over a whole table that would need a temporary as
-# large as the table takes its rows in blocks of this many cells
-# (`_row_blocks`); a pair check (`_pair_blocks`), a row scanned on its own
-# and the row derivation take a quarter of it.
+# The cells a pass over a whole table holds at once where it would otherwise
+# need a temporary as large as the table (`_row_blocks`).  A pair check
+# (`_pair_blocks`) and the row derivation take a quarter of it, and the triple
+# kernel (`_row_violation`) an eighth: np.take casts its whole index to intp.
 _BLOCK_CELLS = 1 << 19
 
 
@@ -581,16 +579,25 @@ def _left_cancellation_holds(G: FiniteGyrogroup) -> bool:
     ))
 
 
+@_per_group
+def _identity_gyration(G: FiniteGyrogroup) -> int:
+    """The index of the identity among the gyrations, or -1 where it is none."""
+    return int(_row_positions(G.perm_matrix, np.arange(G.order)[None])[0])
+
+
 def _row_violation(
     G: FiniteGyrogroup, C: np.ndarray, holds, a: int, lo: int = 0, hi: int | None = None
 ) -> tuple[int, int, int] | None:
     """Smallest failing (a, b, c) of a triple law in row a with lo <= b < hi
-    (every b by default), the b's taken _BLOCK_CELLS // 4 cells at a time;
+    (every b by default), the b's taken _BLOCK_CELLS // 8 cells at a time;
     ``holds`` and C are as in `_first_triple_violation`."""
     N = G.order
     P, Gy = G.perm_matrix, G.gyr_table
     hi = N if hi is None else hi
-    height = max(1, _BLOCK_CELLS // 4 // N)
+    height = max(1, _BLOCK_CELLS // 8 // N)
+    identity = _identity_gyration(G)
+    w = np.arange(N)
+    inverse = np.empty(N, dtype=np.intp)
     for start in range(lo, hi, height):
         end = min(start + height, hi)
         # the b's in order of their gyration, a run of b's per gyration; the
@@ -598,13 +605,13 @@ def _row_violation(
         b = start + np.argsort(Gy[a, start:end], kind="stable")
         gyr = Gy[a, b]
         runs = [0, *(np.flatnonzero(gyr[1:] != gyr[:-1]) + 1).tolist(), len(b)]
-        b_c = np.empty((len(b), N), dtype=C.dtype)
+        # a ⊕ (b ⊕ c) in column c, one gather whose index np.take casts whole
+        a_bc = np.take(C[a], C[start:end] if len(runs) == 2 else C[b])
         for s, e in zip(runs, runs[1:]):
-            rows = slice(start, end) if len(runs) == 2 else b[s:e]
-            # b ⊕ P⁻¹(w) in column w
-            np.take(C[rows], np.argsort(P[gyr[s]]), axis=1, out=b_c[s:e], mode="clip")
-        # fancy indexing casts the index in pieces, where np.take would cast it whole
-        ok = holds(C, C[a, b], C[a][b_c])
+            if gyr[s] != identity:  # column w = P(c) takes c = P⁻¹(w)
+                inverse[P[gyr[s]]] = w
+                a_bc[s:e] = np.take(a_bc[s:e], inverse, axis=1)
+        ok = holds(C, C[a, b], a_bc)
         if not ok.all():
             failing = np.flatnonzero(~ok.all(axis=1))
             j = failing[np.argmin(b[failing])]
@@ -619,54 +626,15 @@ def _first_triple_violation(G: FiniteGyrogroup, holds) -> tuple[int, ...] | None
     a ⊕ b by pair, and ``a_bc`` holds a ⊕ (b ⊕ c) with c = P⁻¹(w) in column
     w, P = gyr[a,b]; C is the Cayley table in its narrowest type.
 
-    The scan runs in the calling thread.  Row 0 goes first (`_row_violation`),
-    and its smallest failing pair is the smallest of all.  The other rows go
-    in blocks of _BLOCK_CELLS // N rows, the b's in order, each over the rows
-    above the smallest failing one so far: the rows of one b and one P are one
-    gather by the index b ⊕ P⁻¹(w).  The first block with a violation holds
-    the smallest witness.
+    The rows are scanned in order, each by `_row_violation`, the kernel the
+    row derivation scans its direct rows with, so the first failing row's
+    witness is the smallest.
     """
-    N = G.order
-    C = G.cayley.astype(np.min_scalar_type(N - 1))
-    P = G.perm_matrix
-    Gy = G.gyr_table
-    height = max(1, _BLOCK_CELLS // N)
-
-    def column_violation(a: np.ndarray, b: int) -> tuple[int, int] | None:
-        """(a, c) of the smallest failing row among the rows ``a`` (ascending)
-        of column b, or None."""
-        # the rows in order of their gyration, a run of rows per gyration
-        gyr = Gy[:, b][a]
-        order = np.argsort(gyr, kind="stable")
-        a, gyr = a[order], gyr[order]
-        runs = [0, *(np.flatnonzero(gyr[1:] != gyr[:-1]) + 1).tolist(), len(a)]
-        index = np.empty(N, dtype=np.intp)
-        a_bc = np.empty((len(a), N), dtype=C.dtype)
-        for s, e in zip(runs, runs[1:]):
-            index[P[gyr[s]]] = C[b]  # index[w] = b ⊕ P⁻¹(w)
-            # a run of consecutive rows is read in place
-            rows = slice(a[s], a[e - 1] + 1) if a[e - 1] - a[s] == e - s - 1 else a[s:e]
-            # the indices are in range, and "clip" writes to out unbuffered
-            np.take(C[rows], index, axis=1, out=a_bc[s:e], mode="clip")
-        ok = holds(C, C[:, b][a], a_bc)
-        if ok.all():
-            return None
-        failing = np.flatnonzero(~ok.all(axis=1))
-        j = failing[np.argmin(a[failing])]
-        return int(a[j]), int(np.argmin(ok[j][P[gyr[j]]]))
-
-    bad = _row_violation(G, C, holds, 0)
-    if bad is not None:
-        return bad
-    for a0 in range(1, N, height):
-        best = None
-        for b in range(N):
-            top = min(a0 + height, N) if best is None else best[0]
-            bad = column_violation(np.arange(a0, top), b) if top > a0 else None
-            if bad is not None:
-                best = (bad[0], b, bad[1])
-        if best is not None:
-            return best
+    C = G.cayley.astype(np.min_scalar_type(G.order - 1))
+    for a in range(G.order):
+        bad = _row_violation(G, C, holds, a)
+        if bad is not None:
+            return bad
     return None
 
 
@@ -841,8 +809,12 @@ def verify(
     orders above ``exhaustive_limit``, is checked on ``sample_size`` seeded
     pseudo-random triples, its result noted "sampled"; such orders label the
     report sampled.  One answer serves both triple laws when left
-    cancellation holds.
+    cancellation holds.  Raises ValueError, before any check runs, when
+    ``sample_size`` is below 1: an empty sample would pass every law it is
+    given.
     """
+    if sample_size < 1:
+        raise ValueError(f"sample_size must be at least 1, got {sample_size}")
     results = [check(G) for check in _PAIR_CHECKS]
     sampled = G.order > exhaustive_limit
     undecided = []  # the triple laws left to the sample

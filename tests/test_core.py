@@ -763,8 +763,12 @@ def test_threaded_gyrator_scan_without_left_cancellation(no_thread):
 # --------------------------------------------------------- block scan kernel
 
 
-# (a, b, c) cells for order 64, where the scan takes row 0 and then blocks
-# of 16 rows: 1..16, 17..32, 33..48 and 49..63
+# (a, b, c) cells for order 64.  The scan of every pair takes the rows in
+# order, and under `_blocks_of_16_rows` each row's b's two at a time: b-blocks
+# 0..1, 2..3, ..., 62..63.  The first seven cases plant witnesses at rows 0,
+# 1, 16, 17, 33, 36, 38, 48 and 63, which the scan must take in order; the
+# last four sit at b-block edges and in one b-block of mixed gyrations, where
+# the planted gyration of b = 6 sorts after that of b = 7.
 BLOCK_EDGES = {
     "first row of a block": [(33, 9, 4)],
     "last row of a block": [(48, 3, 2)],
@@ -773,11 +777,16 @@ BLOCK_EDGES = {
     "mixed column, the smaller row in the later run": [(38, 33, 5), (36, 33, 40)],
     "row 0 in the last column": [(1, 0, 0), (0, 63, 5)],
     "row 1 after row 0": [(1, 0, 3), (0, 1, 62)],
+    "first b of a b-block": [(20, 10, 5)],
+    "last b of a row's last b-block beats the next row": [(21, 63, 2), (22, 0, 0)],
+    "last b of a b-block beats the next b-block": [(44, 12, 1), (44, 11, 60)],
+    "mixed b-block, the smaller b in the run that sorts last": [(50, 7, 3), (50, 6, 30)],
 }
 
 
 def _blocks_of_16_rows(monkeypatch):
-    """Blocks of 16 rows at order 64."""
+    """_BLOCK_CELLS of 16 rows at order 64: the row kernel takes two b's at a
+    time, and the pair checks four rows."""
     monkeypatch.setattr(core, "_BLOCK_CELLS", 16 * 64)
 
 
@@ -801,9 +810,9 @@ def _class_mask(n):
 @pytest.mark.parametrize("column", range(1, 64))
 def test_b_range_edges_with_a_class_mask(column, monkeypatch):
     # planted at the last class minimum of one column and the first past row
-    # 0 of the next, which spreads the pairs over rows and blocks: each b
-    # scans only the rows above the smallest failing one so far, and the
-    # smaller pair wins
+    # 0 of the next: two failing pairs at neighbouring b's, in two rows or in
+    # one row and one b-block; the rows are scanned in order, each over every
+    # b, and the smaller pair wins
     _blocks_of_16_rows(monkeypatch)
     mask = _class_mask(6)
     late = np.flatnonzero(mask[:, column - 1])[-1]
@@ -815,8 +824,8 @@ def test_b_range_edges_with_a_class_mask(column, monkeypatch):
 
 def test_mixed_column_runs_are_sorted_by_gyration(monkeypatch):
     # rows 33..48 of column 33 alternate between the construction's two
-    # gyrations and carry the two planted ones, which sort last, row 36 after
-    # row 38
+    # gyrations and carry the two planted ones, row 36's sorting after row
+    # 38's; the rows are scanned in order, so row 36 gives the witness
     _blocks_of_16_rows(monkeypatch)
     G = _planted(6, BLOCK_EDGES["mixed column, the smaller row in the later run"])
     column = G.gyr_table[32:48, 33]
@@ -854,7 +863,7 @@ def small_tables(draw):
 def test_scan_matches_reference_on_random_small_tables(table_and_rows):
     G, rows = table_and_rows
     _assert_triple_witnesses(G)
-    with pytest.MonkeyPatch.context() as patch:  # blocks of any height
+    with pytest.MonkeyPatch.context() as patch:  # one or two b's a block
         patch.setattr(core, "_BLOCK_CELLS", rows * G.order)
         _assert_triple_witnesses(G)
 
@@ -878,8 +887,9 @@ def test_scan_peak_memory_at_order_512():
 @pytest.mark.parametrize("cpus", [2, 4])
 def test_scan_peak_memory_without_classes_at_order_512(monkeypatch, cpus):
     # a gyration that is no automorphism keeps `verify` off the row
-    # derivation, on the scan of every pair; the scan runs in the calling
-    # thread, so its peak, near 2.4 MB, does not grow with the CPUs
+    # derivation, on the scan of every pair, whose row kernel holds blocks of
+    # _BLOCK_CELLS // 8 cells: its peak, with the gate, is near 1.5 MB,
+    # whatever the CPU count, which no scan reads
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     G = _planted(9, PLANTED["row N-1"])
     assert not check_gyr_automorphisms(G).passed
@@ -925,6 +935,28 @@ def test_witness_in_row_0_is_found_in_the_first_rows(scan, no_thread, monkeypatc
     counted = _counting_laws(monkeypatch)
     assert scan(G) == (0, 500, 1)
     assert sum(counted) == G.order**2
+
+
+@pytest.mark.parametrize("k", [1, 37, 63])
+def test_scan_of_every_pair_goes_row_by_row(k, monkeypatch):
+    # the scans of every pair run the row kernel on rows 0, 1, ..., k in
+    # order, each over every b, and stop at the row holding the witness
+    G = _planted(6, [(k, 20, 5)])
+    assert not check_gyr_automorphisms(G).passed
+    calls = []
+    row_violation = core._row_violation
+
+    def spy(G, C, holds, a, lo=0, hi=None):
+        calls.append((a, lo, G.order if hi is None else hi))
+        return row_violation(G, C, holds, a, lo, hi)
+
+    monkeypatch.setattr(core, "_row_violation", spy)
+    for scan, reference in ((core._first_gyroassoc_violation, ref_gyroassoc_witness),
+                            (lambda G: core._first_gyrator_violation(G, G.left_inverse_map()),
+                             ref_gyrator_witness)):
+        calls.clear()
+        assert scan(G) == reference(G) == (k, 20, 5)
+        assert calls == [(a, 0, 64) for a in range(k + 1)]
 
 
 def test_gyrocommutative(g3, z8, dih8):
@@ -1001,6 +1033,20 @@ def test_verify_sampled_above_limit():
     result = report.check("left_gyroassociativity")
     assert report.sampled and result.witness == (1, 512, 1) and not result.note
     assert witness_confirms(suppressed, result)
+
+
+@pytest.mark.parametrize("size", [0, -1])
+def test_verify_rejects_a_sample_of_no_triples(size, monkeypatch):
+    # an empty sample draws nothing, so it would pass every law given to it;
+    # the zeros table fails the gyrator identity within a thousand draws
+    G = FiniteGyrogroup(np.zeros((64, 64), dtype=np.int32))
+    assert not verify(G, exhaustive_limit=32, sample_size=1000).check("gyrator_identity").passed
+    calls = []
+    translations = core._translations
+    monkeypatch.setattr(core, "_translations", lambda *args: calls.append(args) or translations(*args))
+    with pytest.raises(ValueError, match=f"sample_size must be at least 1, got {size}"):
+        verify(G, exhaustive_limit=32, sample_size=size)
+    assert calls == []
 
 
 @pytest.fixture
