@@ -1,15 +1,15 @@
-"""Left gyroassociativity decided a whole row at a time, most rows derived
-from two passing rows by the identity that the `gyrogroups.core` docstring
-proves.  `core._derived_violation` runs it, with its budget of rows scanned
-directly, on tables whose rows are permutations and whose referenced
-gyrations are automorphisms, and imports it only then."""
+"""The one loop over rows of every exhaustive triple scan, `first_violation`.
+It scans rows directly with `core._row_violation`, and where it may, derives
+most rows of left gyroassociativity from two passing rows by the identity
+that the `gyrogroups.core` docstring proves.  `core` imports it only when a
+triple law is scanned."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from . import core
-from .core import FiniteGyrogroup, _FlatTable, _gyroassoc_rows, _row_blocks, _row_violation
+from .core import FiniteGyrogroup, _FlatTable, _row_blocks, _row_violation
 
 
 def _failures(
@@ -57,18 +57,20 @@ def _failures(
     return failing
 
 
-def first_violation(G: FiniteGyrogroup, budget: int) -> tuple[int, ...] | None:
-    """Smallest (a, b, c) where left gyroassociativity fails, deciding whole
-    rows, for tables whose rows are permutations and whose referenced
-    gyrations are automorphisms.
+def first_violation(
+    G: FiniteGyrogroup, holds, derive: bool, budget: int
+) -> tuple[int, ...] | None:
+    """Smallest (a, b, c) where the triple law ``holds`` fails (as
+    `_row_violation` takes it), deciding whole rows, none of them twice.
 
-    Row 0 is scanned directly (`_row_violation`); then every row a1 ⊕ a2 of
-    passing rows a1 and a2 is derived, in rounds; then the smallest undecided
-    row is scanned, and so on, until no row below the smallest failing one is
-    undecided.  The smallest failing b of a derived row comes from the
-    identity, and its smallest c from `_row_violation`.  At most ``budget``
-    rows are scanned directly; ``()`` stands for the law left undecided once
-    they are spent.
+    Row 0 is scanned directly (`_row_violation`); with ``derive`` (left
+    gyroassociativity on a `core._derivable` table), every row a1 ⊕ a2 of
+    passing rows a1 and a2 is then derived, in rounds; then the smallest
+    undecided row is scanned, and so on, until no row below the smallest
+    failing one is undecided.  The smallest failing b of a derived row comes
+    from the identity, and its smallest c from `_row_violation`.  At most
+    ``budget`` rows are scanned directly; ``()`` stands for the law left
+    undecided once they are spent.
     """
     N = G.order
     C = G.cayley.astype(np.min_scalar_type(N - 1))
@@ -76,7 +78,7 @@ def first_violation(G: FiniteGyrogroup, budget: int) -> tuple[int, ...] | None:
     passing = np.zeros(N, dtype=bool)
     first: tuple[int, ...] = (N,)  # the smallest failing (a, b) so far
 
-    def derive(new: np.ndarray) -> np.ndarray:
+    def derive_from(new: np.ndarray) -> np.ndarray:
         """Decide the undecided rows below ``first`` that are x ⊕ y of
         passing rows x and y, one of them in ``new``; the rows that pass."""
         nonlocal first
@@ -112,13 +114,13 @@ def first_violation(G: FiniteGyrogroup, budget: int) -> tuple[int, ...] | None:
         scans += 1
         a = int(np.argmin(decided))
         decided[a] = True
-        bad = _row_violation(G, C, _gyroassoc_rows, a)
+        bad = _row_violation(G, C, holds, a)
         if bad is not None:  # every row below a passes
             return bad
         passing[a] = True
         new = np.array([a], dtype=np.int32)
-        while new.size and not decided[: first[0]].all():
-            new = derive(new)
+        while derive and new.size and not decided[: first[0]].all():
+            new = derive_from(new)
     if len(first) == 1:
         return None
-    return _row_violation(G, C, _gyroassoc_rows, *first, first[1] + 1)
+    return _row_violation(G, C, holds, *first, first[1] + 1)

@@ -35,6 +35,11 @@ L_{a⊕b} is a bijection, so the law holds at (a, b) for every c exactly when
 
 and row a passes, or fails at exactly the b's where this fails, from a few
 lookups per b and one comparison per distinct composite.
+
+Every exhaustive triple scan is one loop over rows, `_rows.first_violation`,
+which scans no row twice for one law; where rows may not be derived
+(`_derivable`), it scans them in order, so the first failing row holds the
+smallest witness.
 """
 
 from __future__ import annotations
@@ -589,8 +594,10 @@ def _row_violation(
     G: FiniteGyrogroup, C: np.ndarray, holds, a: int, lo: int = 0, hi: int | None = None
 ) -> tuple[int, int, int] | None:
     """Smallest failing (a, b, c) of a triple law in row a with lo <= b < hi
-    (every b by default), the b's taken _BLOCK_CELLS // 8 cells at a time;
-    ``holds`` and C are as in `_first_triple_violation`."""
+    (every b by default), the b's taken _BLOCK_CELLS // 8 cells at a time.
+    ``holds(C, ab, a_bc)`` is the law's truth at some pairs: ``ab`` holds
+    a ⊕ b by pair, and ``a_bc`` holds a ⊕ (b ⊕ c) with c = P⁻¹(w) in column
+    w, P = gyr[a,b]; C is the Cayley table in its narrowest type."""
     N = G.order
     P, Gy = G.perm_matrix, G.gyr_table
     hi = N if hi is None else hi
@@ -619,73 +626,56 @@ def _row_violation(
     return None
 
 
-def _first_triple_violation(G: FiniteGyrogroup, holds) -> tuple[int, ...] | None:
-    """Smallest (a, b, c) where a triple law is false, over every triple.
-
-    ``holds(C, ab, a_bc)`` is the law's truth at some pairs: ``ab`` holds
-    a ⊕ b by pair, and ``a_bc`` holds a ⊕ (b ⊕ c) with c = P⁻¹(w) in column
-    w, P = gyr[a,b]; C is the Cayley table in its narrowest type.
-
-    The rows are scanned in order, each by `_row_violation`, the kernel the
-    row derivation scans its direct rows with, so the first failing row's
-    witness is the smallest.
-    """
-    C = G.cayley.astype(np.min_scalar_type(G.order - 1))
-    for a in range(G.order):
-        bad = _row_violation(G, C, holds, a)
-        if bad is not None:
-            return bad
-    return None
-
-
 def _gyroassoc_rows(C: np.ndarray, ab: np.ndarray, a_bc: np.ndarray) -> np.ndarray:
-    """Left gyroassociativity in the terms of `_first_triple_violation`:
-    (a ⊕ b) ⊕ w over every w is the whole Cayley row of a ⊕ b."""
+    """Left gyroassociativity in the terms of `_row_violation`: (a ⊕ b) ⊕ w
+    over every w is the whole Cayley row of a ⊕ b."""
     return _gyroassoc_holds(C, ab, a_bc, slice(None))
 
 
-def _first_gyroassoc_violation(G: FiniteGyrogroup) -> tuple[int, ...] | None:
-    """Smallest (a, b, c) where left gyroassociativity fails, by the full scan."""
-    return _first_triple_violation(G, _gyroassoc_rows)
+def _derivable(G: FiniteGyrogroup) -> bool:
+    """Rows of left gyroassociativity may be derived (see the module
+    docstring): every Cayley row is a permutation, every gyration used an
+    automorphism."""
+    return check_left_translations(G).passed and check_gyr_automorphisms(G).passed
 
 
 def _first_gyrator_violation(G: FiniteGyrogroup, inv: np.ndarray) -> tuple[int, ...] | None:
     """Smallest (a, b, c) where the gyrator identity fails."""
+    from . import _rows  # compiled only by the commands that scan a triple law
+
     w = np.arange(G.order)
-    return _first_triple_violation(
-        G, lambda C, ab, a_bc: _gyrator_holds(C, inv, ab[:, None], a_bc, w)
+    return _rows.first_violation(
+        G, lambda C, ab, a_bc: _gyrator_holds(C, inv, ab[:, None], a_bc, w), False, G.order
     )
 
 
-@_per_group
 def _derived_violation(G: FiniteGyrogroup) -> tuple[int, ...] | None:
     """Smallest (a, b, c) where left gyroassociativity fails, or None where it
-    holds, as the row derivation decides it (`_rows.first_violation`, see the
-    module docstring) with at most ``N.bit_length()`` rows scanned directly;
-    ``()`` where it cannot decide: a Cayley row is no permutation, a
-    referenced gyration is no automorphism, or the budget is spent.
+    holds, as `verify` decides it above its exhaustive limit: rows derived,
+    with at most ``N.bit_length()`` rows scanned directly; ``()`` where the
+    budget is spent, or where the rows are not `_derivable`, which scans no
+    row.
 
     A gyrogroup needs no more rows: its passing rows, closed under ⊕ by the
     derivation, are a subgyrogroup, whose order divides N (Lagrange), so each
     row scanned outside them at least doubles them.
     """
-    if not (check_left_translations(G).passed and check_gyr_automorphisms(G).passed):
+    if not _derivable(G):
         return ()
-    # compiled only by the commands that run this scan
     from . import _rows
 
-    return _rows.first_violation(G, G.order.bit_length())
+    return _rows.first_violation(G, _gyroassoc_rows, True, G.order.bit_length())
 
 
 def check_left_gyroassociativity(G: FiniteGyrogroup) -> CheckResult:
     """a ⊕ (b ⊕ c) = (a ⊕ b) ⊕ gyr[a,b]c over all triples; witness (a, b, c).
 
-    The row derivation's answer where it decides (`_derived_violation`);
-    otherwise every triple is scanned.
+    Decided by `_rows.first_violation` with a budget of every row: rows are
+    derived where they are `_derivable`, and otherwise scanned in order.
     """
-    bad = _derived_violation(G)
-    if bad == ():
-        bad = _first_gyroassoc_violation(G)
+    from . import _rows
+
+    bad = _rows.first_violation(G, _gyroassoc_rows, _derivable(G), G.order)
     return CheckResult("left_gyroassociativity", bad is None, bad)
 
 
@@ -804,11 +794,12 @@ def verify(
 ) -> VerificationReport:
     """Run every check and aggregate the results; nothing short-circuits.
 
-    The triple laws take the row derivation's answer where it decides, at
-    every order.  A law it leaves undecided has every pair scanned, or, at
-    orders above ``exhaustive_limit``, is checked on ``sample_size`` seeded
-    pseudo-random triples, its result noted "sampled"; such orders label the
-    report sampled.  One answer serves both triple laws when left
+    At or below ``exhaustive_limit`` the triple laws are decided row by row
+    (`check_left_gyroassociativity`).  Above it, the row derivation has at
+    most ``N.bit_length()`` direct rows (`_derived_violation`), and a law it
+    leaves undecided is checked on ``sample_size`` seeded pseudo-random
+    triples, its result noted "sampled"; such orders label the report
+    sampled.  One answer serves both triple laws when left
     cancellation holds.  Raises ValueError, before any check runs, when
     ``sample_size`` is below 1: an empty sample would pass every law it is
     given.
@@ -817,15 +808,16 @@ def verify(
         raise ValueError(f"sample_size must be at least 1, got {sample_size}")
     results = [check(G) for check in _PAIR_CHECKS]
     sampled = G.order > exhaustive_limit
-    undecided = []  # the triple laws left to the sample
-    if sampled and _derived_violation(G) == ():
-        undecided.append("left_gyroassociativity")
+    assoc = None if sampled else check_left_gyroassociativity(G)
+    if sampled and (bad := _derived_violation(G)) != ():
+        assoc = CheckResult("left_gyroassociativity", bad is None, bad)
+    undecided = ["left_gyroassociativity"] if assoc is None else []  # the laws left to the sample
     # the gyrator identity has the associativity result under left
     # cancellation, and is undefined without left inverses
     if sampled and (G.left_inverse_map() >= 0).all() and not _left_cancellation_holds(G):
         undecided.append("gyrator_identity")
     drawn = _sampled_triples(G, seed, sample_size, undecided) if undecided else {}
-    assoc = drawn.get("left_gyroassociativity") or check_left_gyroassociativity(G)
+    assoc = assoc or drawn["left_gyroassociativity"]
     gyrator = drawn.get("gyrator_identity") or _gyrator_identity(G, assoc)
     results += [assoc, check_loop_property(G), gyrator, check_gyrocommutative(G)]
     return VerificationReport(
