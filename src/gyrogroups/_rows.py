@@ -12,9 +12,7 @@ from . import core
 from .core import FiniteGyrogroup, _FlatTable, _row_blocks, _row_violation
 
 
-def _failures(
-    G: FiniteGyrogroup, C: np.ndarray, t: np.ndarray, x: np.ndarray, y: np.ndarray
-) -> np.ndarray:
+def _failures(G: FiniteGyrogroup, t: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """For rows t = x ⊕ y of passing rows x and y: the smallest b at which
     row t fails the identity of the `core` docstring, or N where none does.
 
@@ -29,7 +27,7 @@ def _failures(
     code[:] = g[:, None]
     # fancy indexing casts the index in pieces, where np.take would cast it whole
     code *= K
-    code += Gy.flat[Gy.cell(x[:, None], C[y])]  # gyr[x, y ⊕ b']
+    code += Gy.flat[Gy.cell(x[:, None], G.cayley[y])]  # gyr[x, y ⊕ b']
     code *= K
     code += G.gyr_table[y]  # gyr[y, b']
     code *= K
@@ -73,7 +71,6 @@ def first_violation(
     undecided once they are spent.
     """
     N = G.order
-    C = G.cayley.astype(np.min_scalar_type(N - 1))
     decided = np.zeros(N, dtype=bool)
     passing = np.zeros(N, dtype=bool)
     first: tuple[int, ...] = (N,)  # the smallest failing (a, b) so far
@@ -88,7 +85,7 @@ def first_violation(
         for lo in range(0, len(new), step):
             X = new[lo : lo + step]
             for xs, ys in ((X, S), (S, X)):
-                t = C[xs[:, None], ys].ravel()
+                t = G.cayley[xs[:, None], ys].ravel()
                 pair = np.flatnonzero((t < first[0]) & ~decided[t])
                 if not pair.size:
                     continue
@@ -97,7 +94,7 @@ def first_violation(
                 x, y = xs[x], ys[y]
                 decided[t] = True
                 for rows in _row_blocks(len(t), 4 * N):
-                    failing = _failures(G, C, t[rows], x[rows], y[rows])
+                    failing = _failures(G, t[rows], x[rows], y[rows])
                     ok = failing == N
                     passed.append(t[rows][ok])
                     if not ok.all():  # t ascends, so its first failing row is the smallest
@@ -114,7 +111,7 @@ def first_violation(
         scans += 1
         a = int(np.argmin(decided))
         decided[a] = True
-        bad = _row_violation(G, C, holds, a)
+        bad = _row_violation(G, holds, a)
         if bad is not None:  # every row below a passes
             return bad
         passing[a] = True
@@ -123,4 +120,4 @@ def first_violation(
             new = derive_from(new)
     if len(first) == 1:
         return None
-    return _row_violation(G, C, holds, *first, first[1] + 1)
+    return _row_violation(G, holds, *first, first[1] + 1)

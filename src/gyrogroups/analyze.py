@@ -337,7 +337,9 @@ def _holomorph_table(G: FiniteGyrogroup) -> np.ndarray:
     x = np.arange(N)[:, None, None]
     Xy = gamma[None, :, :]  # X(y), over (x, X, y)
     twist = comp[gyr[x, Xy], np.arange(k)[None, :, None]]
-    table = G.cayley[x, Xy][..., None] * k + comp[twist[..., None], np.arange(k)]
+    # x·k in intp, as the table's own type wraps once N·k passes its range
+    xk = np.multiply(G.cayley[x, Xy][..., None], k, dtype=np.intp)
+    table = xk + comp[twist[..., None], np.arange(k)]
     return table.reshape(N * k, N * k)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FiniteGyrogroup, Permutation, _row_blocks
+from .core import FiniteGyrogroup, Permutation, _element_type, _row_blocks
 
 __all__ = [
     "CyclicParams",
@@ -140,7 +140,7 @@ def build_cyclic_gyrogroup(n: int, *, max_n: int = DEFAULT_MAX_N) -> FiniteGyrog
             f"n={n} exceeds the cap of {max_n} (tables grow as 4**n); raise max_n to override"
         )
     p = CyclicParams(n)
-    cayley = np.empty((p.order, p.order), dtype=np.int32)
+    cayley = np.empty((p.order, p.order), dtype=_element_type(p.order))
     gyr = np.empty((p.order, p.order), dtype=np.uint16)
     j = np.arange(p.order, dtype=np.int32)
     # an eighth of a block at a time, so that the few int32 temporaries of

@@ -163,6 +163,11 @@ def _tiled_copy(view: np.ndarray) -> np.ndarray:
     return out
 
 
+def _element_type(n: int) -> np.dtype:
+    """The Cayley table's type at order n: the narrowest that holds n - 1."""
+    return np.min_scalar_type(n - 1)
+
+
 def _integral(array: np.ndarray, name: str) -> np.ndarray:
     """``array`` unchanged, when every entry is a whole number (2.0 is, 1.7 is
     not); otherwise raise, naming the first entry that is not."""
@@ -294,7 +299,7 @@ class FiniteGyrogroup:
         rank = np.argsort(np.argsort(first))[index_of.reshape(-1)].astype(np.uint16)
 
         # the instance's own tables, so no caller can change them
-        self._cayley = table.astype(np.int32, copy=copy)
+        self._cayley = table.astype(_element_type(n), copy=copy)
         self._cayley.setflags(write=False)
         if (rank == np.arange(len(rank))).all():  # the indices stand as they are
             self._gyr = gyr.astype(np.uint16, copy=copy)
@@ -519,18 +524,13 @@ def check_right_translations(G: FiniteGyrogroup) -> CheckResult:
 def check_left_identity(G: FiniteGyrogroup) -> CheckResult:
     """0 ⊕ x = x for all x; witness (x,) is the smallest violation."""
     bad = _first_false(G.cayley[0] == np.arange(G.order))
-    if bad is None:
-        return CheckResult("left_identity", True)
-    return CheckResult("left_identity", False, bad)
+    return CheckResult("left_identity", bad is None, bad)
 
 
 def check_left_inverses(G: FiniteGyrogroup) -> CheckResult:
     """Each a has some b with b ⊕ a = 0; witness (a,) lacks one."""
-    has_inverse = G.left_inverse_map() >= 0
-    bad = _first_false(has_inverse)
-    if bad is None:
-        return CheckResult("left_inverses", True)
-    return CheckResult("left_inverses", False, bad)
+    bad = _first_false(G.left_inverse_map() >= 0)
+    return CheckResult("left_inverses", bad is None, bad)
 
 
 @_per_group
@@ -591,15 +591,15 @@ def _identity_gyration(G: FiniteGyrogroup) -> int:
 
 
 def _row_violation(
-    G: FiniteGyrogroup, C: np.ndarray, holds, a: int, lo: int = 0, hi: int | None = None
+    G: FiniteGyrogroup, holds, a: int, lo: int = 0, hi: int | None = None
 ) -> tuple[int, int, int] | None:
     """Smallest failing (a, b, c) of a triple law in row a with lo <= b < hi
     (every b by default), the b's taken _BLOCK_CELLS // 8 cells at a time.
-    ``holds(C, ab, a_bc)`` is the law's truth at some pairs: ``ab`` holds
-    a ⊕ b by pair, and ``a_bc`` holds a ⊕ (b ⊕ c) with c = P⁻¹(w) in column
-    w, P = gyr[a,b]; C is the Cayley table in its narrowest type."""
+    ``holds(C, ab, a_bc)`` is the law's truth at some pairs: C is the Cayley
+    table, ``ab`` holds a ⊕ b by pair, and ``a_bc`` holds a ⊕ (b ⊕ c) with
+    c = P⁻¹(w) in column w, P = gyr[a,b]."""
     N = G.order
-    P, Gy = G.perm_matrix, G.gyr_table
+    C, P, Gy = G.cayley, G.perm_matrix, G.gyr_table
     hi = N if hi is None else hi
     height = max(1, _BLOCK_CELLS // 8 // N)
     identity = _identity_gyration(G)
@@ -740,7 +740,7 @@ def _sampled_triples(
     """
     N = G.order
     inv = G.left_inverse_map()
-    C = _FlatTable(G.cayley.astype(np.min_scalar_type(N - 1)))
+    C = _FlatTable(G.cayley)
     P = _FlatTable(G.perm_matrix)
     Gy = G.gyr_table.ravel()
     laws = {"left_gyroassociativity": lambda *terms: _gyroassoc_holds(C, *terms),

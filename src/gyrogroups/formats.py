@@ -21,6 +21,7 @@ from .core import (
     FiniteGyrogroup,
     VerificationReport,
     _distinct,
+    _element_type,
     _row_blocks,
     _translations,
 )
@@ -170,10 +171,10 @@ def _int_block(
             yield line
 
     try:
-        table = np.loadtxt(block(), delimiter=delimiter, dtype=np.int32, comments=None, ndmin=2)
+        table = np.loadtxt(block(), _element_type(n), delimiter=delimiter, comments=None, ndmin=2)
     except ValueError:
         return None
-    return table if table.shape == (rows, n) and 0 <= table.min() and table.max() < n else None
+    return table if table.shape == (rows, n) and table.max() < n else None
 
 
 def _legend_images(entries: list[tuple[int, str, str]], n: int) -> np.ndarray:
@@ -290,7 +291,7 @@ def _read_tables(document: str | bytes) -> tuple[np.ndarray, np.ndarray, np.ndar
                     f"line {line_no + 1}: expected {n} fields, got {len(tokens)}"
                 )
             rows.append([_parse_int(t.strip(), line_no + 1, j, n) for j, t in enumerate(tokens)])
-        cayley = np.array(rows, dtype=np.int32)
+        cayley = np.array(rows, dtype=_element_type(n))
 
     gyr_marker = 2 + n
     if line_at(gyr_marker).strip() != "gyration":
@@ -377,7 +378,7 @@ def load_tables(document: str | bytes, *, strict: bool = True) -> FiniteGyrogrou
     if not identity_rows.size and strict:
         raise TableFormatError("no left-identity row found")
     if identity_rows.size and identity_rows[0] != 0:
-        sigma = np.arange(n, dtype=np.int32)
+        sigma = np.arange(n, dtype=_element_type(n))
         sigma[[0, identity_rows[0]]] = sigma[[identity_rows[0], 0]]
         cayley = sigma[cayley[sigma[:, None], sigma[None, :]]]
         gyr = gyr[sigma[:, None], sigma[None, :]]

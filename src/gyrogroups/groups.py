@@ -33,13 +33,13 @@ def cyclic_group(n: int) -> np.ndarray:
 
 
 def direct_product(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Product table on pairs encoded as a * len(second) + b."""
+    """Product table on pairs encoded as a * len(second) + b, in intp."""
     first = np.asarray(first)
     second = np.asarray(second)
     k = second.shape[0]
     a1, b1 = np.divmod(np.arange(first.shape[0] * k)[:, None], k)
     a2, b2 = np.divmod(np.arange(first.shape[0] * k)[None, :], k)
-    return first[a1, a2] * k + second[b1, b2]
+    return np.multiply(first[a1, a2], k, dtype=np.intp) + second[b1, b2]
 
 
 def dihedral_group(sides: int) -> np.ndarray:

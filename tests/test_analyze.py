@@ -310,9 +310,10 @@ def test_gyroholomorph_matches_entrywise_reference(g3, g4, z8, z4xz2, z2cubed, d
         table = ref_holomorph_table(G)
         assert np.array_equal(hol.cayley, table)
         assert hol.invariants == ref_group_invariants(table)
-    # random gyrations generate S_4 or A_4 and give no group
-    for seed in range(5):
-        G = seeded_gyrations(4, seed)
+    # random gyrations generate S_4 or A_4 (and S_5 or A_5) and give no
+    # group; at order 5 x·|Γ| passes 255, which a uint8 Cayley table wraps
+    seeded = [seeded_gyrations(4, s) for s in range(5)] + [seeded_gyrations(5, s) for s in range(3)]
+    for G in seeded:
         assert np.array_equal(_holomorph_table(G), ref_holomorph_table(G))
     with pytest.raises(GyrogroupDataError, match="gyroholomorph table fails group axiom"):
         gyroholomorph(G)

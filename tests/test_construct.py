@@ -222,6 +222,6 @@ def test_not_associative():
 
 def test_build_peak_memory_at_order_1024():
     # the tables are filled an eighth of a block of int32 rows at a time, and
-    # the instance adopts them without a copy (6.6 MiB); with the copies it
+    # the instance adopts them without a copy (4.6 MiB); with the copies it
     # took 12.0 MiB, int64 blocks 15.1 MiB and whole int64 tables 26 MiB
     assert traced_peak_mib(build_cyclic_gyrogroup, 10) <= 7.0

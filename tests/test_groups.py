@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gyrogroups import (
+    FiniteGyrogroup,
     cyclic_group,
     dihedral_group,
     direct_product,
@@ -58,6 +59,14 @@ def test_semidirect_candidates_match_reference():
             product = direct_product(z2, table)
             assert element_orders(product) == ref_element_orders(product)
             assert group_invariants(product) == ref_group_invariants(product)
+
+
+def test_direct_product_of_a_narrow_table():
+    # a Cayley table of order 32 is uint8, and 31 * 16 passes its range
+    narrow = FiniteGyrogroup.from_group(cyclic_group(32)).cayley
+    assert narrow.dtype == np.uint8
+    assert np.array_equal(direct_product(narrow, cyclic_group(16)),
+                          direct_product(cyclic_group(32), cyclic_group(16)))
 
 
 def test_unit_axioms_match_reference():
