@@ -51,7 +51,7 @@ def _failures(G: FiniteGyrogroup, t: np.ndarray, x: np.ndarray, y: np.ndarray) -
         for rows in _row_blocks(len(t), 16 * N):
             place = np.searchsorted(bad, code[rows])
             cells = bad[np.minimum(place, len(bad) - 1, out=place)] == code[rows]
-            failing[rows] = np.where(cells, G.perm_matrix[g[rows]], N).min(axis=1)
+            failing[rows] = np.where(cells, G.perm_matrix[g[rows]], np.int32(N)).min(axis=1)
     return failing
 
 

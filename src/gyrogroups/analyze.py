@@ -294,7 +294,7 @@ def gyroautomorphism_group(G: FiniteGyrogroup) -> np.ndarray:
     order-8 table may generate all 40320 permutations).  It is closed from
     the identity by composing each new element with the generators only,
     since in a finite group the monoid they generate is the group.  Returned
-    as a read-only |Γ|×N image matrix sorted by images, identity first.
+    read-only: |Γ|×N images in the type of `perm_matrix`, sorted, identity first.
     """
     gens = G.perm_matrix[_referenced_gyrations(G)]
     frontier = np.arange(G.order, dtype=gens.dtype)[None, :]

@@ -141,7 +141,7 @@ def build_cyclic_gyrogroup(n: int, *, max_n: int = DEFAULT_MAX_N) -> FiniteGyrog
         )
     p = CyclicParams(n)
     cayley = np.empty((p.order, p.order), dtype=_element_type(p.order))
-    gyr = np.empty((p.order, p.order), dtype=np.uint16)
+    gyr = np.empty((p.order, p.order), dtype=_element_type(2))
     j = np.arange(p.order, dtype=np.int32)
     # an eighth of a block at a time, so that the few int32 temporaries of
     # `oplus` stay under 1 MiB beside the tables the instance adopts

@@ -78,7 +78,7 @@ __all__ = [
 EXHAUSTIVE_LIMIT = 512
 SAMPLE_SIZE = 10_000_000
 SAMPLE_SEED = 1729
-# Gyration indices are stored as uint16.
+# At most this many distinct gyrations: `_rows._failures` codes four in 64 bits.
 _GYRATION_LIMIT = 1 << 16
 # The triples a sampled scan draws at once.
 _SAMPLE_CHUNK = 1 << 15
@@ -164,7 +164,7 @@ def _tiled_copy(view: np.ndarray) -> np.ndarray:
 
 
 def _element_type(n: int) -> np.dtype:
-    """The Cayley table's type at order n: the narrowest that holds n - 1."""
+    """The stored type of every table of values 0..n-1: the narrowest holding n - 1."""
     return np.min_scalar_type(n - 1)
 
 
@@ -209,7 +209,7 @@ def _image_rows(perms, n: int) -> np.ndarray:
     if not bijective.all():
         row = tuple(images[np.argmin(bijective)].tolist())
         raise GyrogroupDataError(f"not a bijection on 0..{n - 1}: {row!r}")
-    return images.astype(np.int32)
+    return images.astype(_element_type(n), copy=False)
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -277,7 +277,7 @@ class FiniteGyrogroup:
             )
 
         if gyr_table is None:
-            gyr_table = np.zeros((n, n), dtype=np.uint16)
+            gyr_table = np.zeros((n, n), dtype=_element_type(1))
             perms = np.arange(n)[None, :] if perms is None else perms
         gyr = _as_table(gyr_table, "gyration")
         if gyr.shape[0] != n:
@@ -296,15 +296,15 @@ class FiniteGyrogroup:
                 f"{len(first)} distinct gyrations exceed the limit of {_GYRATION_LIMIT:,}"
             )
         # rank of each row's first occurrence among the first occurrences
-        rank = np.argsort(np.argsort(first))[index_of.reshape(-1)].astype(np.uint16)
+        rank = np.argsort(np.argsort(first))[index_of.reshape(-1)].astype(_element_type(len(first)))
 
         # the instance's own tables, so no caller can change them
         self._cayley = table.astype(_element_type(n), copy=copy)
         self._cayley.setflags(write=False)
         if (rank == np.arange(len(rank))).all():  # the indices stand as they are
-            self._gyr = gyr.astype(np.uint16, copy=copy)
+            self._gyr = gyr.astype(rank.dtype, copy=copy)
         else:
-            self._gyr = np.empty((n, n), dtype=np.uint16)
+            self._gyr = np.empty((n, n), dtype=rank.dtype)
             for rows in _row_blocks(n, n):
                 self._gyr[rows] = rank[gyr[rows].astype(np.intp)]
         self._gyr.setflags(write=False)

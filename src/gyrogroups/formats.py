@@ -183,7 +183,7 @@ def _legend_images(entries: list[tuple[int, str, str]], n: int) -> np.ndarray:
     bijection, do the per-line and per-token rules run, to name the first
     bad line and field."""
     bodies = [body for _, _, body in entries]
-    images = _int_block(bodies, 0, len(bodies), n, None) if bodies else np.empty((0, n), np.int32)
+    images = _int_block(bodies, 0, len(bodies), n, None) if bodies else None
     if images is not None and (np.sort(images, axis=1) == np.arange(n)).all():
         return images
     rows = []
@@ -197,7 +197,7 @@ def _legend_images(entries: list[tuple[int, str, str]], n: int) -> np.ndarray:
         if sorted(values) != list(range(n)):
             raise TableFormatError(f"line {i + 1}: permutation {sym!r} is not a bijection")
         rows.append(values)
-    return np.array(rows, dtype=np.int32)
+    return np.array(rows, dtype=_element_type(n)).reshape(-1, n)
 
 
 class _Lines:
@@ -333,12 +333,12 @@ def _read_tables(document: str | bytes) -> tuple[np.ndarray, np.ndarray, np.ndar
     if pairs is not None and all(len(sym) == 1 and sym.isascii() for sym in legend):
         # each field byte looked up in a table of the 256 byte values; fancy
         # indexing casts the index in pieces, where np.take would cast it whole
-        index = np.full(256, K, np.min_scalar_type(K))
+        index = np.full(256, K, _element_type(K + 1))
         index[[ord(sym) for sym in legend]] = range(K)
         gyr = index[pairs & 0xFF]
     else:
         syms = itertools.chain.from_iterable(lines[gyr_marker + 1 + a].split(",") for a in range(n))
-        gyr = np.fromiter(map(legend.get, syms, itertools.repeat(K)), np.min_scalar_type(K), n * n)
+        gyr = np.fromiter(map(legend.get, syms, itertools.repeat(K)), _element_type(K + 1), n * n)
         gyr = gyr.reshape(n, n)
     for a in np.flatnonzero(gyr.max(axis=1) == K).tolist():
         for b, field in enumerate(lines[gyr_marker + 1 + a].strip().split(",")):

@@ -1,3 +1,4 @@
+import itertools
 import re
 import tracemalloc
 import warnings
@@ -20,6 +21,7 @@ from gyrogroups import (
     enumerate_subgyrogroups,
     load_tables,
     report_document,
+    restrict,
     verify,
 )
 
@@ -222,10 +224,20 @@ def test_load_normalizes_identity_position():
     assert verify(loaded).passed
 
 
+def _assert_narrowest(G):
+    """The Cayley table and the image rows in _element_type(N), the gyration
+    table in _element_type(K) for its K distinct gyrations."""
+    assert G.cayley.dtype == G.perm_matrix.dtype == core._element_type(G.order)
+    assert G.gyr_table.dtype == core._element_type(len(G.perm_matrix))
+
+
 def test_every_producer_stores_the_cayley_table_in_its_narrowest_type():
-    # np.min_scalar_type(N - 1): uint8 up to order 256, uint16 from 257
+    # np.min_scalar_type(N - 1): uint8 up to order 256, uint16 from 257, for
+    # the image rows too; the construction's two gyrations are uint8
     for N, kind in ((256, np.uint8), (257, np.uint16)):
-        assert FiniteGyrogroup.from_group(cyclic_group(N)).cayley.dtype == kind
+        G = FiniteGyrogroup.from_group(cyclic_group(N))
+        _assert_narrowest(G)
+        assert G.cayley.dtype == kind and G.gyr_table.dtype == np.uint8
     for n, kind in ((8, np.uint8), (9, np.uint16)):
         G = build_cyclic_gyrogroup(n)
         sigma = np.arange(G.order)
@@ -234,12 +246,29 @@ def test_every_producer_stores_the_cayley_table_in_its_narrowest_type():
                                 sigma[G.perm_matrix[:, sigma]])
         doc = emit_tables(G, "csv")
         documents = [
-            doc,  # the block read whole
+            doc,  # the blocks read whole, the gyrations as byte pairs
             doc.replace("cayley\n0,", "cayley\n\u0660,", 1),  # int() reads it, numpy does not
+            doc.replace("gyration\nI,", "gyration\n I,", 1),  # the gyrations token by token
             emit_tables(moved, "csv"),  # the identity relabelled back to row 0
         ]
-        for loaded in (G, *map(load_tables, documents)):
+        for loaded in (G, restrict(G, range(G.order)), *map(load_tables, documents)):
+            _assert_narrowest(loaded)
             assert loaded.cayley.dtype == kind and np.array_equal(loaded.cayley, G.cayley)
+            assert loaded.gyr_table.dtype == np.uint8
+
+
+def test_gyration_table_takes_the_narrowest_type_of_its_gyration_count():
+    # uint8 holds 256 distinct gyrations and uint16 the 257th, renumbered or
+    # not, and read from a legend whose missing-symbol mark K needs uint16
+    perms = list(itertools.islice(itertools.permutations(range(6)), 257))
+    gyr = np.zeros((6, 6), dtype=int)
+    gyr[1, 1] = 255
+    for images, kind in ((perms[:256], np.uint8), (perms[1:2] + perms[:256], np.uint8),
+                         (perms, np.uint16)):
+        G = FiniteGyrogroup(cyclic_group(6), gyr, images)
+        for built in (G, load_tables(emit_tables(G, "csv"))):
+            _assert_narrowest(built)
+            assert built.gyr_table.dtype == kind and built.gyration(1, 1) == G.gyration(1, 1)
 
 
 def test_load_strict_requires_identity_row():
@@ -445,9 +474,11 @@ def g1024():
 
 def test_load_peak_memory_at_order_1024(g1024):
     # the blocks are read into uint16 and uint8 arrays, and the lines one at
-    # a time: 5.2 MiB, of which the two uint16 tables are 4 MiB
+    # a time: 5.2 MiB at most, the 2 MiB Cayley table beside the gyration
+    # table's 1 MiB and its 2 MiB of field bytes; a 2 MiB copy held beside
+    # them would break the bound
     data = emit_tables(g1024, "csv").encode("ascii")
-    assert traced_peak_mib(load_tables, data, strict=False) <= 13.5
+    assert traced_peak_mib(load_tables, data, strict=False) <= 6.5
 
 
 @pytest.mark.parametrize("fmt, bound", [("text", 14.0), ("csv", 13.5)])
