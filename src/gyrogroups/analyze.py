@@ -27,6 +27,7 @@ from .core import (
     Permutation,
     _close,
     _distinct,
+    _identity_gyration,
     _integral,
     _referenced_gyrations,
     _row_keys,
@@ -402,7 +403,7 @@ _ISO_ORDER_CAP = 32
 
 
 def _element_profiles(G: FiniteGyrogroup) -> list[tuple[int, int, int]]:
-    nontrivial = (G.perm_matrix != np.arange(G.order)).any(axis=1)[G.gyr_table]
+    nontrivial = G.gyr_table != _identity_gyration(G)
     rows = nontrivial.sum(axis=1)
     cols = nontrivial.sum(axis=0)
     orders = element_orders(G.cayley.T)  # left powers x ⊕ x^k
@@ -472,7 +473,7 @@ def is_degenerate_group(G: FiniteGyrogroup) -> bool:
     Checks both signals, all-identity gyrations and associativity of ⊕, and
     raises when they disagree, since that marks corrupted tables.
     """
-    all_identity = bool((G.perm_matrix[_referenced_gyrations(G)] == np.arange(G.order)).all())
+    all_identity = bool((_referenced_gyrations(G) == _identity_gyration(G)).all())
     associative = check_left_gyroassociativity(FiniteGyrogroup.from_group(G.cayley)).passed
     if all_identity != associative:
         raise GyrogroupDataError(

@@ -41,18 +41,6 @@ def _write_output(pieces: Iterable[bytes], out: str | None) -> None:
             f.writelines(pieces)
 
 
-def _print_report(report: VerificationReport) -> None:
-    for check in report.checks:
-        if check.passed:
-            print(f"{check.name}: pass")
-        else:
-            note = f" ({check.note})" if check.note else ""
-            print(f"{check.name}: FAIL witness={check.witness}{note}")
-    verdict = "all checks passed" if report.passed else "verification FAILED"
-    scope = " [sampled scan]" if report.sampled else ""
-    print(f"{verdict}{scope}")
-
-
 def _report_json(
     G: FiniteGyrogroup, report: VerificationReport, params: dict
 ) -> str:
@@ -77,15 +65,27 @@ def _cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
+def _verify_and_report(G: FiniteGyrogroup, report_path: str | None, params: dict) -> int:
+    """Verify G, print each check and the verdict, and write the JSON report
+    to ``report_path`` when one is given; the command's exit code."""
+    report = verify(G)
+    for check in report.checks:
+        if check.passed:
+            print(f"{check.name}: pass")
+        else:
+            note = f" ({check.note})" if check.note else ""
+            print(f"{check.name}: FAIL witness={check.witness}{note}")
+    verdict = "all checks passed" if report.passed else "verification FAILED"
+    scope = " [sampled scan]" if report.sampled else ""
+    print(f"{verdict}{scope}")
+    if report_path is not None:
+        Path(report_path).write_text(_report_json(G, report, params), encoding="utf-8")
+    return 0 if report.passed else 1
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     G = build_cyclic_gyrogroup(args.n)
-    report = verify(G)
-    _print_report(report)
-    if args.report is not None:
-        Path(args.report).write_text(
-            _report_json(G, report, {"n": args.n, "order": G.order}), encoding="utf-8"
-        )
-    return 0 if report.passed else 1
+    return _verify_and_report(G, args.report, {"n": args.n, "order": G.order})
 
 
 def _cmd_lattice(args: argparse.Namespace) -> int:
@@ -141,14 +141,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     # lenient load: structural axiom failures should surface as verify
     # witnesses rather than parse-time rejections
     G = _load_file(args.file, strict=False)
-    report = verify(G)
-    _print_report(report)
-    if args.report is not None:
-        Path(args.report).write_text(
-            _report_json(G, report, {"order": G.order, "source": args.file}),
-            encoding="utf-8",
-        )
-    return 0 if report.passed else 1
+    return _verify_and_report(G, args.report, {"order": G.order, "source": args.file})
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -37,9 +37,10 @@ and row a passes, or fails at exactly the b's where this fails, from a few
 lookups per b and one comparison per distinct composite.
 
 Every exhaustive triple scan is one loop over rows, `_rows.first_violation`,
-which scans no row twice for one law; where rows may not be derived
-(`_derivable`), it scans them in order, so the first failing row holds the
-smallest witness.
+which scans no row twice for one law; `_assoc_violation` alone sets how many
+rows it scans directly for left gyroassociativity.  Where rows may not be
+derived (`_derivable`), it scans them in order, so the first failing row
+holds the smallest witness.
 """
 
 from __future__ import annotations
@@ -546,9 +547,9 @@ def check_gyr_automorphisms(G: FiniteGyrogroup) -> CheckResult:
     """Every referenced gyration respects ⊕; witness (k, x, y) for perms[k]."""
     C = _FlatTable(G.cayley)
     for k in _referenced_gyrations(G):
-        p = G.perm_matrix[k]
-        if (p == np.arange(G.order)).all():  # the identity respects any ⊕
+        if k == _identity_gyration(G):  # the identity respects any ⊕
             continue
+        p = G.perm_matrix[k]
         for rows in _pair_blocks(G.order):
             # p(x ⊕ y) = p(x) ⊕ p(y), the right side one flat gather, whose
             # index fancy indexing casts in pieces
@@ -586,8 +587,10 @@ def _left_cancellation_holds(G: FiniteGyrogroup) -> bool:
 
 @_per_group
 def _identity_gyration(G: FiniteGyrogroup) -> int:
-    """The index of the identity among the gyrations, or -1 where it is none."""
-    return int(_row_positions(G.perm_matrix, np.arange(G.order)[None])[0])
+    """The index of the identity among the deduplicated gyrations, or -1 where
+    it is none: one equality of row keys, with no sort or search."""
+    identity = _row_keys(np.arange(G.order, dtype=G.perm_matrix.dtype)[None])
+    return next(iter(np.flatnonzero(_row_keys(G.perm_matrix) == identity).tolist()), -1)
 
 
 def _row_violation(
@@ -639,43 +642,31 @@ def _derivable(G: FiniteGyrogroup) -> bool:
     return check_left_translations(G).passed and check_gyr_automorphisms(G).passed
 
 
-def _first_gyrator_violation(G: FiniteGyrogroup, inv: np.ndarray) -> tuple[int, ...] | None:
-    """Smallest (a, b, c) where the gyrator identity fails."""
+def _assoc_violation(G: FiniteGyrogroup, budget: int) -> tuple[int, ...] | None:
+    """Smallest (a, b, c) where left gyroassociativity fails, or None where it
+    holds; ``()`` where it is left undecided.  Where rows are `_derivable`,
+    they are derived, with at most ``budget`` rows scanned directly; where
+    they are not, a budget of N scans every row in order, and any smaller
+    budget scans none.
+
+    A budget of ``N.bit_length()`` decides every gyrogroup: its passing rows,
+    closed under ⊕ by the derivation, are a subgyrogroup, whose order divides
+    N (Lagrange), so each row scanned outside them at least doubles them.
+    """
+    derive = _derivable(G)
+    if not derive and budget < G.order:
+        return ()
     from . import _rows  # compiled only by the commands that scan a triple law
 
-    w = np.arange(G.order)
-    return _rows.first_violation(
-        G, lambda C, ab, a_bc: _gyrator_holds(C, inv, ab[:, None], a_bc, w), False, G.order
-    )
-
-
-def _derived_violation(G: FiniteGyrogroup) -> tuple[int, ...] | None:
-    """Smallest (a, b, c) where left gyroassociativity fails, or None where it
-    holds, as `verify` decides it above its exhaustive limit: rows derived,
-    with at most ``N.bit_length()`` rows scanned directly; ``()`` where the
-    budget is spent, or where the rows are not `_derivable`, which scans no
-    row.
-
-    A gyrogroup needs no more rows: its passing rows, closed under ⊕ by the
-    derivation, are a subgyrogroup, whose order divides N (Lagrange), so each
-    row scanned outside them at least doubles them.
-    """
-    if not _derivable(G):
-        return ()
-    from . import _rows
-
-    return _rows.first_violation(G, _gyroassoc_rows, True, G.order.bit_length())
+    return _rows.first_violation(G, _gyroassoc_rows, derive, budget)
 
 
 def check_left_gyroassociativity(G: FiniteGyrogroup) -> CheckResult:
     """a ⊕ (b ⊕ c) = (a ⊕ b) ⊕ gyr[a,b]c over all triples; witness (a, b, c).
 
-    Decided by `_rows.first_violation` with a budget of every row: rows are
-    derived where they are `_derivable`, and otherwise scanned in order.
+    Decided by `_assoc_violation` with a budget of every row.
     """
-    from . import _rows
-
-    bad = _rows.first_violation(G, _gyroassoc_rows, _derivable(G), G.order)
+    bad = _assoc_violation(G, G.order)
     return CheckResult("left_gyroassociativity", bad is None, bad)
 
 
@@ -712,7 +703,12 @@ def _gyrator_identity(G: FiniteGyrogroup, assoc: CheckResult | None) -> CheckRes
         )
     if _left_cancellation_holds(G):
         return replace(assoc or check_left_gyroassociativity(G), name="gyrator_identity")
-    bad = _first_gyrator_violation(G, inv)
+    from . import _rows
+
+    w = np.arange(G.order)
+    bad = _rows.first_violation(
+        G, lambda C, ab, a_bc: _gyrator_holds(C, inv, ab[:, None], a_bc, w), False, G.order
+    )
     return CheckResult("gyrator_identity", bad is None, bad)
 
 
@@ -794,22 +790,21 @@ def verify(
 ) -> VerificationReport:
     """Run every check and aggregate the results; nothing short-circuits.
 
-    At or below ``exhaustive_limit`` the triple laws are decided row by row
-    (`check_left_gyroassociativity`).  Above it, the row derivation has at
-    most ``N.bit_length()`` direct rows (`_derived_violation`), and a law it
-    leaves undecided is checked on ``sample_size`` seeded pseudo-random
-    triples, its result noted "sampled"; such orders label the report
-    sampled.  One answer serves both triple laws when left
-    cancellation holds.  Raises ValueError, before any check runs, when
-    ``sample_size`` is below 1: an empty sample would pass every law it is
-    given.
+    Left gyroassociativity is decided by `_assoc_violation`, with a budget of
+    every row at or below ``exhaustive_limit`` (`check_left_gyroassociativity`)
+    and of ``N.bit_length()`` rows above it.  Above it, a law left undecided
+    is checked on ``sample_size`` seeded pseudo-random triples, its result
+    noted "sampled"; such orders label the report sampled.  One answer serves
+    both triple laws when left cancellation holds.  Raises ValueError, before
+    any check runs, when ``sample_size`` is below 1: an empty sample would
+    pass every law it is given.
     """
     if sample_size < 1:
         raise ValueError(f"sample_size must be at least 1, got {sample_size}")
     results = [check(G) for check in _PAIR_CHECKS]
     sampled = G.order > exhaustive_limit
     assoc = None if sampled else check_left_gyroassociativity(G)
-    if sampled and (bad := _derived_violation(G)) != ():
+    if sampled and (bad := _assoc_violation(G, G.order.bit_length())) != ():
         assoc = CheckResult("left_gyroassociativity", bad is None, bad)
     undecided = ["left_gyroassociativity"] if assoc is None else []  # the laws left to the sample
     # the gyrator identity has the associativity result under left

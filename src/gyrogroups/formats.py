@@ -22,6 +22,7 @@ from .core import (
     VerificationReport,
     _distinct,
     _element_type,
+    _identity_gyration,
     _row_blocks,
     _translations,
 )
@@ -48,8 +49,8 @@ class TableFormatError(ValueError):
 def _symbols(G: FiniteGyrogroup) -> list[str]:
     # letters are handed out by first appearance in the gyration table
     # (row-major); permutations never referenced come after those
-    identity = (G.perm_matrix == np.arange(G.order)).all(axis=1).tolist()
-    seen = np.zeros(len(identity), dtype=bool)
+    K = len(G.perm_matrix)
+    seen = np.zeros(K, dtype=bool)
     appearance = []
     for rows in _row_blocks(G.order, G.order):
         if seen.all():
@@ -61,10 +62,10 @@ def _symbols(G: FiniteGyrogroup) -> list[str]:
         seen[new] = True
         appearance += new.tolist()
     appearance += np.flatnonzero(~seen).tolist()
-    names = iter([*_LETTERS, *(f"P{c}" for c in range(len(_LETTERS), len(identity)))])
-    symbols = [""] * len(identity)
+    names = iter([*_LETTERS, *(f"P{c}" for c in range(len(_LETTERS), K))])
+    symbols = [""] * K
     for k in appearance:
-        symbols[k] = "I" if identity[k] else next(names)
+        symbols[k] = "I" if k == _identity_gyration(G) else next(names)
     return symbols
 
 
@@ -130,7 +131,7 @@ def _table_pieces(G: FiniteGyrogroup, fmt: str) -> Iterator[bytes]:
     yield from _text_grid(f"gyration table (order {G.order})", symbols, G.gyr_table)
     legend = ["legend:"]
     for sym, p in zip(symbols, G.perms):
-        legend.append(f"  {sym} = " + ("identity" if p.is_identity else p.cycle_string()))
+        legend.append(f"  {sym} = " + ("identity" if sym == "I" else p.cycle_string()))
     yield ("\n".join(legend) + "\n").encode("ascii")
 
 
@@ -233,10 +234,10 @@ class _Lines:
 
 
 def _one_byte_fields(lines: _Lines, lo: int, n: int) -> np.ndarray | None:
-    """Lines lo..lo+n-1 as an n×n array of little-endian byte pairs, a field
-    and the byte after it, when each of those lines is n one-byte ASCII
-    fields, none a comma, each followed by a comma and the last by a newline;
-    otherwise None.  The array views a bytes document."""
+    """The field bytes of lines lo..lo+n-1, as an n×n strided uint8 view of a
+    bytes document, when each of those lines is n one-byte ASCII fields, none
+    a comma, each followed by a comma and the last by a newline; otherwise
+    None."""
     if lo + n > len(lines):
         return None
     document, start, end = lines.document, lines.starts[lo], lines.starts[lo + n]
@@ -248,12 +249,12 @@ def _one_byte_fields(lines: _Lines, lo: int, n: int) -> np.ndarray | None:
         if not document.isascii():
             return None
         document = document.encode("ascii")
-    pairs = np.frombuffer(document, "<u2", n * n, start).reshape(n, n)
-    ends = np.full(n, ord(","), np.uint16)
+    pairs = np.frombuffer(document, np.uint8, 2 * n * n, start).reshape(n, n, 2)
+    ends = np.full(n, ord(","), np.uint8)
     ends[-1] = ord("\n")
-    if not ((pairs >> 8) == ends).all() or ((pairs & 0xFF) == ord(",")).any():
+    if not (pairs[..., 1] == ends).all() or (pairs[..., 0] == ord(",")).any():
         return None
-    return pairs
+    return pairs[..., 0]
 
 
 def _read_tables(document: str | bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -296,8 +297,8 @@ def _read_tables(document: str | bytes) -> tuple[np.ndarray, np.ndarray, np.ndar
     gyr_marker = 2 + n
     if line_at(gyr_marker).strip() != "gyration":
         raise TableFormatError(f"line {gyr_marker + 1}: expected 'gyration' section marker")
-    pairs = _one_byte_fields(lines, gyr_marker + 1, n)
-    for a in range(n if pairs is None else 0):
+    fields = _one_byte_fields(lines, gyr_marker + 1, n)
+    for a in range(n if fields is None else 0):
         line_no = gyr_marker + 1 + a
         # stripping removes no commas, so this counts the stripped fields
         count = line_at(line_no).count(",") + 1
@@ -330,12 +331,12 @@ def _read_tables(document: str | bytes) -> tuple[np.ndarray, np.ndarray, np.ndar
     # legend symbols are stripped, so a field found as it stands needs no
     # strip; only rows with a field not found (index K) are split again
     K = len(entries)
-    if pairs is not None and all(len(sym) == 1 and sym.isascii() for sym in legend):
+    if fields is not None and all(len(sym) == 1 and sym.isascii() for sym in legend):
         # each field byte looked up in a table of the 256 byte values; fancy
         # indexing casts the index in pieces, where np.take would cast it whole
         index = np.full(256, K, _element_type(K + 1))
         index[[ord(sym) for sym in legend]] = range(K)
-        gyr = index[pairs & 0xFF]
+        gyr = index[fields]
     else:
         syms = itertools.chain.from_iterable(lines[gyr_marker + 1 + a].split(",") for a in range(n))
         gyr = np.fromiter(map(legend.get, syms, itertools.repeat(K)), _element_type(K + 1), n * n)

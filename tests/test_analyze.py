@@ -374,12 +374,20 @@ def relabel(G, sigma):
     return FiniteGyrogroup(cayley, gyr, s[G.perm_matrix[:, inv]])
 
 
-def test_element_profiles_use_left_orders(g3, g4, z8, z4xz2, z2cubed, dih8):
+def test_element_profiles_use_left_orders(g3, g4, z8, z4xz2, z2cubed, dih8, identity_placements):
     built = [build_cyclic_gyrogroup(n) for n in (5, 6, 7)]
+    placed = [FiniteGyrogroup(*tables) for tables in identity_placements.values()]
     # left powers of 1 run 1, 2, 2, ... and never reach 0
     stuck = FiniteGyrogroup.from_group([[0, 1, 2], [1, 2, 2], [2, 1, 1]])
-    for G in (g3, g4, *built, z8, z4xz2, z2cubed, dih8, stuck):
+    for G in (g3, g4, *built, z8, z4xz2, z2cubed, dih8, stuck, *placed):
         assert [orders for orders, _, _ in _element_profiles(G)] == ref_left_orders(G)
+        # the nontrivial gyrations in each row and column
+        nontrivial = np.array([[not G.gyration(a, b).is_identity for b in range(G.order)]
+                               for a in range(G.order)])
+        counts = [(int(row), int(col)) for row, col in
+                  zip(nontrivial.sum(axis=1), nontrivial.sum(axis=0))]
+        assert [(rows, cols) for _, rows, cols in _element_profiles(G)] == counts
+    assert [profile[1:] for profile in _element_profiles(placed[1])] == [(8, 8)] * 8
     assert [orders for orders, _, _ in _element_profiles(stuck)] == [1, 0, 0]
 
 
@@ -471,9 +479,16 @@ def test_isomorphic_tells_order_32_groups_with_equal_profiles_apart():
 # ------------------------------------------------------------ degenerate check
 
 
-def test_is_degenerate_group(g3, z8):
+def test_is_degenerate_group(g3, z8, identity_placements):
     assert not is_degenerate_group(g3)
     assert is_degenerate_group(z8)
+    relisted, no_identity = (FiniteGyrogroup(*t) for t in identity_placements.values())
+    assert not is_degenerate_group(relisted)
+    # Z8 with the identity listed second, and the only gyration in its table
+    assert is_degenerate_group(FiniteGyrogroup(z8.cayley, np.ones((8, 8), int), relisted.perm_matrix))
+    # Z8 is associative, but none of its gyrations is the identity
+    with pytest.raises(GyrogroupDataError, match="disagree"):
+        is_degenerate_group(no_identity)
 
 
 def test_restricted_subgyrogroup_is_a_group(g3):
