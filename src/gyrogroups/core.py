@@ -84,9 +84,9 @@ _GYRATION_LIMIT = 1 << 16
 # The triples a sampled scan draws at once.
 _SAMPLE_CHUNK = 1 << 15
 # The cells a pass over a whole table holds at once where it would otherwise
-# need a temporary as large as the table (`_row_blocks`).  A pair check
-# (`_pair_blocks`) and the row derivation take a quarter of it, and the triple
-# kernel (`_row_violation`) an eighth: np.take casts its whole index to intp.
+# need a temporary as large as the table (`_row_blocks`).  `_pair_blocks` and
+# the row derivation take a quarter, `_row_violation`, the construction and
+# `formats._symbols` and `_block` an eighth: np.take casts its index to intp.
 _BLOCK_CELLS = 1 << 19
 
 

@@ -52,7 +52,9 @@ def _symbols(G: FiniteGyrogroup) -> list[str]:
     K = len(G.perm_matrix)
     seen = np.zeros(K, dtype=bool)
     appearance = []
-    for rows in _row_blocks(G.order, G.order):
+    # an eighth of a block at a time: np.unique's index of first appearances
+    # takes 8 bytes a cell
+    for rows in _row_blocks(G.order, 8 * G.order):
         if seen.all():
             break
         # the values no earlier block holds, in order of first appearance
@@ -63,9 +65,10 @@ def _symbols(G: FiniteGyrogroup) -> list[str]:
         appearance += new.tolist()
     appearance += np.flatnonzero(~seen).tolist()
     names = iter([*_LETTERS, *(f"P{c}" for c in range(len(_LETTERS), K))])
+    identity = _identity_gyration(G)
     symbols = [""] * K
     for k in appearance:
-        symbols[k] = "I" if k == _identity_gyration(G) else next(names)
+        symbols[k] = "I" if k == identity else next(names)
     return symbols
 
 
@@ -79,17 +82,17 @@ def _cells(texts: list[str]) -> np.ndarray:
 def _block(
     labels: list[str], table: np.ndarray, sep: str, heads: list[str] | None = None
 ) -> Iterator[bytes]:
-    """The ASCII bytes of one line per row of the table, a block of rows at a
-    time: the row's entry of ``heads``, then each entry v as ``labels[v] + sep``,
-    with the line's last ``sep`` made a newline.
+    """The ASCII bytes of one line per row of the table, an eighth of a block
+    of rows at a time: the row's entry of ``heads``, then each entry v as
+    ``labels[v] + sep``, with the line's last ``sep`` made a newline.
 
     Each label is encoded once as a cell and a block is one gather of the
-    cells by its rows.  Labels and heads of unequal width are padded with
-    NUL, which is removed."""
+    cells by its rows, whose index np.take casts whole to intp.  Labels and
+    heads of unequal width are padded with NUL, which is removed."""
     cells = _cells([v + sep for v in labels])
     if heads is not None:
         head_cells = _cells(heads).view(np.uint8).reshape(len(heads), -1)
-    for rows in _row_blocks(*table.shape):
+    for rows in _row_blocks(len(table), 8 * table.shape[1]):
         lines = np.take(cells, table[rows]).view(np.uint8)
         lines[:, -1] = ord("\n")
         if heads is not None:
@@ -114,8 +117,8 @@ def _text_grid(title: str, labels: list[str], table: np.ndarray) -> Iterator[byt
 
 
 def _table_pieces(G: FiniteGyrogroup, fmt: str) -> Iterator[bytes]:
-    """The document of `emit_tables` as ASCII pieces of at most a block of rows
-    each."""
+    """The document of `emit_tables` as ASCII pieces of at most an eighth of a
+    block of rows each, so that no temporary grows with the table."""
     if fmt not in ("text", "csv"):
         raise ValueError(f"unknown format {fmt!r} (expected 'text' or 'csv')")
     symbols = _symbols(G)
@@ -374,13 +377,15 @@ def load_tables(document: str | bytes, *, strict: bool = True) -> FiniteGyrogrou
                     f"cayley {kind} {index} repeats a value at positions {first} and {second}"
                 )
 
-    # normalize the identity to element 0 when some other row acts as one
-    identity_rows = np.flatnonzero((cayley == np.arange(n)).all(axis=1))
-    if not identity_rows.size and strict:
+    # normalize the identity to element 0 when some other row acts as one;
+    # an identity row e has e ⊕ 0 = 0, so only those rows are tested
+    sigma = np.arange(n, dtype=_element_type(n))
+    candidates = np.flatnonzero(cayley[:, 0] == 0).tolist()
+    e = next((a for a in candidates if np.array_equal(cayley[a], sigma)), None)
+    if e is None and strict:
         raise TableFormatError("no left-identity row found")
-    if identity_rows.size and identity_rows[0] != 0:
-        sigma = np.arange(n, dtype=_element_type(n))
-        sigma[[0, identity_rows[0]]] = sigma[[identity_rows[0], 0]]
+    if e not in (None, 0):
+        sigma[[0, e]] = sigma[[e, 0]]
         cayley = sigma[cayley[sigma[:, None], sigma[None, :]]]
         gyr = gyr[sigma[:, None], sigma[None, :]]
         perms = sigma[perms[:, sigma]]

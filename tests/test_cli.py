@@ -383,9 +383,10 @@ def test_build_and_check_working_sets_at_order_1024(tmp_path):
     assert done.returncode == 0, done.stderr
     (base_code, base), (build_code, build), (check_code, check) = json.loads(done.stdout)
     assert (base_code, build_code, check_code) == (0, 0, 0)
-    # 18.5 and 23.5 MiB here, against 30.7 and 41.5 with whole int64 tables
-    assert build - base <= 25
-    assert check - base <= 34
+    # 6.1 and 10.2 MiB here, against 14.0 and 11.1 where emission gathered a
+    # whole block of cells at once, and 30.7 and 41.5 with whole int64 tables
+    assert build - base <= 10
+    assert check - base <= 14
 
 
 @settings(max_examples=200, deadline=None,
