@@ -41,7 +41,6 @@ from .groups import (
     direct_product,
     element_orders,
     first_group_axiom_violation,
-    group_invariants,
     semidirect_cyclic_z2,
 )
 
@@ -390,7 +389,7 @@ def holomorph_structure_matches(hol: GyroholomorphGroup) -> list[tuple[str, Grou
             action = semidirect_cyclic_z2(m, k)
         except ValueError:  # x -> kx is not an involution
             continue
-        inv = group_invariants(direct_product(z2, action))
+        inv = _invariants(direct_product(z2, action))
         name = f"Z2 x (Z{m} : Z2, x -> {k}x) [{_action_nickname(m, k)} action]"
         if inv == hol.invariants:
             matches.append((name, inv))

@@ -242,6 +242,19 @@ def _distinct(x: np.ndarray) -> np.ndarray:
     return np.flatnonzero(seen)
 
 
+def _per_group(compute: Callable[[FiniteGyrogroup], object]):
+    """``compute(G)``, computed on the first call for each G and then kept on
+    it: its tables never change."""
+
+    @functools.wraps(compute)
+    def once(G: FiniteGyrogroup):
+        if compute not in G._facts:
+            G._facts[compute] = compute(G)
+        return G._facts[compute]
+
+    return once
+
+
 class FiniteGyrogroup:
     """A finite magma with a gyration attached to every ordered pair.
 
@@ -311,8 +324,6 @@ class FiniteGyrogroup:
         self._gyr.setflags(write=False)
         self._perm_matrix = images[np.sort(first)]
         self._perm_matrix.setflags(write=False)
-        self._perms: tuple[Permutation, ...] | None = None
-        self._inverse_map: np.ndarray | None = None
         self._facts: dict[Callable, object] = {}  # see `_per_group`
 
     @classmethod
@@ -333,11 +344,10 @@ class FiniteGyrogroup:
         return self._gyr
 
     @property
+    @_per_group
     def perms(self) -> tuple[Permutation, ...]:
         """The rows of `perm_matrix` as `Permutation` objects, built on first use."""
-        if self._perms is None:
-            self._perms = tuple(Permutation(tuple(row)) for row in self._perm_matrix.tolist())
-        return self._perms
+        return tuple(Permutation(tuple(row)) for row in self._perm_matrix.tolist())
 
     @property
     def perm_matrix(self) -> np.ndarray:
@@ -358,21 +368,20 @@ class FiniteGyrogroup:
     def gyration(self, a: int, b: int) -> Permutation:
         return self.perms[self.gyr_index(a, b)]
 
+    @_per_group
     def left_inverse_map(self) -> np.ndarray:
         """For each x the smallest b with b ⊕ x = 0, or -1 when none exists."""
-        if self._inverse_map is None:
-            N = self.order
-            inv = np.full(N, -1, dtype=np.int64)
-            columns = np.arange(N)
-            for rows in _pair_blocks(N):
-                zero = self._cayley[rows] == 0
-                # the block's first row holding 0 in each column still open
-                first = zero.argmax(axis=0)
-                new = zero[first, columns] & (inv < 0)
-                inv[new] = rows.start + first[new]
-            inv.setflags(write=False)
-            self._inverse_map = inv
-        return self._inverse_map
+        N = self.order
+        inv = np.full(N, -1, dtype=np.int64)
+        columns = np.arange(N)
+        for rows in _pair_blocks(N):
+            zero = self._cayley[rows] == 0
+            # the block's first row holding 0 in each column still open
+            first = zero.argmax(axis=0)
+            new = zero[first, columns] & (inv < 0)
+            inv[new] = rows.start + first[new]
+        inv.setflags(write=False)
+        return inv
 
     def __repr__(self) -> str:
         return f"FiniteGyrogroup(order={self.order}, gyrations={len(self._perm_matrix)})"
@@ -479,19 +488,6 @@ def _first_false(ok: np.ndarray) -> tuple[int, ...] | None:
     if ok.all():
         return None
     return tuple(int(v) for v in np.argwhere(~ok)[0])
-
-
-def _per_group(compute: Callable[[FiniteGyrogroup], object]):
-    """``compute(G)``, computed on the first call for each G and then kept on
-    it: its tables never change."""
-
-    @functools.wraps(compute)
-    def once(G: FiniteGyrogroup):
-        if compute not in G._facts:
-            G._facts[compute] = compute(G)
-        return G._facts[compute]
-
-    return once
 
 
 def _translations(name: str, rows: np.ndarray) -> CheckResult:
@@ -686,15 +682,9 @@ def check_gyrator_identity(G: FiniteGyrogroup) -> CheckResult:
 
     Fails outright (witness (x,)) when some element has no left inverse,
     since the formula is then undefined.  When left cancellation holds, it
-    has the left gyroassociativity result (see the module docstring);
-    otherwise the identity gets a scan of its own.
+    has the left gyroassociativity result (see the module docstring), and
+    `verify` reuses its own; otherwise the identity gets a scan of its own.
     """
-    return _gyrator_identity(G, None)
-
-
-def _gyrator_identity(G: FiniteGyrogroup, assoc: CheckResult | None) -> CheckResult:
-    """`check_gyrator_identity`, reusing ``assoc``, a left gyroassociativity
-    result over the same triples, when one is at hand."""
     inv = G.left_inverse_map()
     missing = _first_false(inv >= 0)
     if missing is not None:
@@ -702,7 +692,7 @@ def _gyrator_identity(G: FiniteGyrogroup, assoc: CheckResult | None) -> CheckRes
             "gyrator_identity", False, missing, note="no left inverse, formula undefined"
         )
     if _left_cancellation_holds(G):
-        return replace(assoc or check_left_gyroassociativity(G), name="gyrator_identity")
+        return replace(check_left_gyroassociativity(G), name="gyrator_identity")
     from . import _rows
 
     w = np.arange(G.order)
@@ -813,7 +803,8 @@ def verify(
         undecided.append("gyrator_identity")
     drawn = _sampled_triples(G, seed, sample_size, undecided) if undecided else {}
     assoc = assoc or drawn["left_gyroassociativity"]
-    gyrator = drawn.get("gyrator_identity") or _gyrator_identity(G, assoc)
+    gyrator = (replace(assoc, name="gyrator_identity") if _left_cancellation_holds(G)
+               else drawn.get("gyrator_identity") or check_gyrator_identity(G))
     results += [assoc, check_loop_property(G), gyrator, check_gyrocommutative(G)]
     return VerificationReport(
         checks=tuple(results),

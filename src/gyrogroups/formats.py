@@ -209,11 +209,10 @@ class _Lines:
     text only when read, so no more than one is held at a time.  Bytes must
     be UTF-8; the first invalid byte raises, naming its line."""
 
-    def __init__(self, document: str | bytes) -> None:
-        nl, cr = ("\n", "\r") if isinstance(document, str) else (b"\n", b"\r")
-        if cr in document:
-            document = document.replace(cr + nl, nl).replace(cr, nl)
-        if isinstance(document, bytes) and not document.isascii():
+    def __init__(self, document: bytes) -> None:
+        if b"\r" in document:
+            document = document.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        if not document.isascii():
             try:
                 document.decode("utf-8")
             except UnicodeDecodeError as exc:
@@ -224,7 +223,7 @@ class _Lines:
         self.document = document
         # line i runs from starts[i] to the newline before starts[i + 1]
         self.starts = [0]
-        while (end := document.find(nl, self.starts[-1])) >= 0:
+        while (end := document.find(b"\n", self.starts[-1])) >= 0:
             self.starts.append(end + 1)
         self.starts.append(len(document) + 1)
 
@@ -232,8 +231,7 @@ class _Lines:
         return len(self.starts) - 1
 
     def __getitem__(self, i: int) -> str:
-        line = self.document[self.starts[i] : self.starts[i + 1] - 1]
-        return line if isinstance(line, str) else line.decode("utf-8")
+        return self.document[self.starts[i] : self.starts[i + 1] - 1].decode("utf-8")
 
 
 def _one_byte_fields(lines: _Lines, lo: int, n: int) -> np.ndarray | None:
@@ -247,11 +245,6 @@ def _one_byte_fields(lines: _Lines, lo: int, n: int) -> np.ndarray | None:
     # a last line without its newline ends past the document
     if end - start != 2 * n * n or end > len(document):
         return None
-    if isinstance(document, str):
-        document, start = document[start:end], 0
-        if not document.isascii():
-            return None
-        document = document.encode("ascii")
     pairs = np.frombuffer(document, np.uint8, 2 * n * n, start).reshape(n, n, 2)
     ends = np.full(n, ord(","), np.uint8)
     ends[-1] = ord("\n")
@@ -260,7 +253,7 @@ def _one_byte_fields(lines: _Lines, lo: int, n: int) -> np.ndarray | None:
     return pairs[..., 0]
 
 
-def _read_tables(document: str | bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _read_tables(document: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The Cayley table, the gyration table as indices into the legend, and
     the legend's image rows of a CSV document, each in a narrow integer type.
     The document's text and lines live in this call only."""
@@ -365,7 +358,12 @@ def load_tables(document: str | bytes, *, strict: bool = True) -> FiniteGyrogrou
     witnesses against it.  Each block is read whole; only when that fails do
     the per-token rules of `_read_tables` run, to name the first bad line and
     field.
+
+    A ``str`` is encoded to UTF-8 once and read on the bytes path of a file,
+    so a lone surrogate, which no UTF-8 file holds, fails as an invalid byte.
     """
+    if isinstance(document, str):
+        document = document.encode("utf-8", "surrogatepass")
     cayley, gyr, perms = _read_tables(document)
     n = len(cayley)
     if strict:

@@ -110,6 +110,10 @@ def test_left_inverse_map_is_the_smallest_left_inverse():
         G = FiniteGyrogroup(rng.integers(0, 3, size=(6, 6)))
         expected = [min((b for b in range(6) if G.oplus(b, x) == 0), default=-1) for x in range(6)]
         assert G.left_inverse_map().tolist() == expected
+    # computed once per instance, kept read-only, as are the permutations
+    assert G.left_inverse_map() is G.left_inverse_map()
+    assert not G.left_inverse_map().flags.writeable
+    assert G.perms is G.perms
 
 
 def test_translation_witnesses_match_reference(g3):
@@ -767,6 +771,7 @@ def _planted_case(case):
 
 
 @pytest.mark.parametrize("case", list(PLANTED))
+@pytest.mark.parametrize("no_thread", [2], indirect=True, ids=["2 cpus"])
 def test_threaded_scan_finds_smallest_witness(case, no_thread):
     # the swapped gyrations are no automorphisms, so the scan takes every pair
     G, reference = _planted_case(case)

@@ -127,6 +127,15 @@ def test_load_reports_a_gyration_block_that_ends_the_document(kind):
     assert load_outcome(ref_load_tables, doc, False) == (TableFormatError, message)
 
 
+def test_load_reports_a_lone_surrogate_as_an_invalid_byte(g3):
+    # a str is encoded to UTF-8 once, a lone surrogate to three bytes that
+    # are no UTF-8, and the first of them is named as in a file
+    lines = emit_tables(g3, "csv").split("\n")
+    lines[4] = "\ud800" + lines[4][1:]  # the first entry of Cayley row 2
+    with pytest.raises(TableFormatError, match="^line 5: invalid UTF-8 byte 0xed$"):
+        load_tables("\n".join(lines))
+
+
 def test_load_bytes_crlf_normalized(g3):
     doc = emit_tables(g3, "csv").replace("\n", "\r\n").encode()
     assert emit_tables(load_tables(doc), "csv") == emit_tables(g3, "csv")
@@ -477,6 +486,9 @@ def test_load_matches_reference_on_mutated_documents(doc, strict):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = load_outcome(load_tables, doc, strict)
+    if isinstance(doc, str):
+        # a str is read as its UTF-8 bytes, on the one path a file takes
+        assert load_outcome(load_tables, doc.encode(), strict) == got
     expected = load_outcome(ref_load_tables, doc, strict)
     allowed = (TableFormatError, GyrogroupDataError)
     if isinstance(got[0], type):

@@ -48,9 +48,10 @@ def test_semidirect_rejects_non_involution():
 
 
 def test_semidirect_candidates_match_reference():
-    # every Z2 x (Z_m : Z2) candidate the holomorph is compared with, up to order 256
+    # every Z2 x (Z_m : Z2) candidate the holomorph is compared with at n = 3..7,
+    # up to order 256: `holomorph_structure_matches` trusts them to be groups
     z2 = cyclic_group(2)
-    for m in (8, 16, 64):
+    for m in (4, 8, 16, 32, 64):
         for k in range(2, m):
             if (k * k - 1) % m:
                 continue

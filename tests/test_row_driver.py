@@ -54,7 +54,7 @@ def test_row_kernel_is_called_only_by_the_row_driver(path):
 def test_row_driver_is_called_only_by_the_two_triple_laws(path):
     # left gyroassociativity within its budget, and the gyrator identity's
     # own scan; no other code sets how many rows are scanned
-    expected = ["_assoc_violation", "_gyrator_identity"] if path.name == "core.py" else []
+    expected = ["_assoc_violation", "check_gyrator_identity"] if path.name == "core.py" else []
     assert callers(path.read_text(encoding="utf-8"), "first_violation") == expected
 
 
